@@ -120,28 +120,40 @@ def bench_gating(
         )
 
         n_reps = reps or max(10, min(60, 20000 // k))
-        gated_time = _time_mean(
-            lambda: gated_cost(tracks, dets, grid, config), n_reps
-        )
-        full_time = _time_mean(
-            lambda: fully_connected_cost(tracks, dets, config), n_reps
+        gated_time, full_time = _time_means(
+            [
+                lambda: gated_cost(tracks, dets, grid, config),
+                lambda: fully_connected_cost(tracks, dets, config),
+            ],
+            n_reps,
         )
         rows.append(GatingRow(k, gated_time, full_time, full_time / gated_time))
     return rows
 
 
-def _time_mean(fn, reps: int, warmup: int = 3) -> float:
+def _time_means(fns, reps: int, warmup: int = 3) -> list[float]:
+    """Trimmed mean run time of each function. The functions take turns
+    within every repetition, so a change in host speed reaches all of
+    them alike instead of whichever happened to be timed then."""
     for _ in range(warmup):
-        fn()
-    samples = []
+        for fn in fns:
+            fn()
+    samples: list[list[float]] = [[] for _ in fns]
     for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
+        for fn, times in zip(fns, samples):
+            # Untimed first: straight after another function's large
+            # arrays a call ran ~40% slower than after its own.
+            fn()
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
     # Trimmed mean: drop the slowest quarter to shed scheduler noise.
-    samples.sort()
-    kept = samples[: max(1, (3 * len(samples)) // 4)]
-    return sum(kept) / len(kept)
+    means = []
+    for times in samples:
+        times.sort()
+        kept = times[: max(1, (3 * len(times)) // 4)]
+        means.append(sum(kept) / len(kept))
+    return means
 
 
 def bench_filling(

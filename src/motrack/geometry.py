@@ -102,11 +102,20 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between two (N, 4) and (M, 4) corner-form arrays."""
+    """Pairwise IoU between two (..., N, 4) and (..., M, 4) corner-form
+    arrays, giving (..., N, M); leading dimensions broadcast.
+
+    Element-wise the arithmetic is that of `iou`, so both compare equal
+    to a threshold on the same pairs.
+    """
     if boxes_a.size == 0 or boxes_b.size == 0:
-        return np.zeros((boxes_a.shape[0], boxes_b.shape[0]), dtype=np.float64)
-    a = boxes_a[:, None, :]
-    b = boxes_b[None, :, :]
+        return np.zeros(
+            np.broadcast_shapes(boxes_a.shape[:-2], boxes_b.shape[:-2])
+            + (boxes_a.shape[-2], boxes_b.shape[-2]),
+            dtype=np.float64,
+        )
+    a = boxes_a[..., :, None, :]
+    b = boxes_b[..., None, :, :]
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)

@@ -210,6 +210,26 @@ def test_evaluate_many_micro_average():
     assert report.mota == pytest.approx(1.0 - 20 / 20)
     assert report.sequences["clean"].mota == 1.0
 
+    # IDF1 sums IDTP and box counts over sequences before dividing. With
+    # three 10-box hypotheses on 10 GT boxes, one of them on target,
+    # "spam" scores 2*10/40 = 0.5, so a GT-weighted mean would give 0.75;
+    # the counts give 2*(10 + 10)/(20 + 40).
+    spam = {i: {f: box(10.0 * f + 300.0 * i, 50.0) for f in range(1, 11)} for i in range(3)}
+    report = evaluate_many({"clean": (gt, gt), "spam": (spam, gt)})
+    assert report.sequences["spam"].idf1 == 0.5
+    assert (report.idtp, report.hyp_boxes, report.total_gt) == (20, 40, 20)
+    assert report.idf1 == 2 * 20 / 60
+    assert (report.idp, report.idr) == (0.5, 1.0)
+
+
+@pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan"), float("inf")])
+def test_evaluate_rejects_threshold_outside_unit_interval(threshold):
+    gt = {1: {1: box(0.0, 0.0)}}
+    with pytest.raises(ValueError, match="iou_match_threshold"):
+        evaluate(gt, gt, threshold)
+    with pytest.raises(ValueError, match="iou_match_threshold"):
+        evaluate_many({"a": (gt, gt)}, threshold)
+
 
 # ---------------------------------------------------------------------- synth
 
@@ -383,6 +403,14 @@ def test_cli_eval_result_against_itself(tmp_path, capsys):
     write_trajectories({1: {f: box(10.0 * f, 50.0) for f in range(1, 8)}}, path)
     assert main(["eval", "--hypotheses", str(path), "--ground-truth", str(path)]) == 0
     assert "MOTA 1.0000" in capsys.readouterr().out
+
+
+def test_cli_eval_rejects_zero_threshold(tmp_path, capsys):
+    path = tmp_path / "r.txt"
+    write_trajectories({1: {f: box(10.0 * f, 50.0) for f in range(1, 8)}}, path)
+    args = ["eval", "--hypotheses", str(path), "--ground-truth", str(path)]
+    assert main(args + ["--iou-threshold", "0"]) == 1
+    assert "iou_match_threshold must be in (0, 1]" in capsys.readouterr().err
 
 
 def test_cli_missing_required_flag_is_a_usage_error():
