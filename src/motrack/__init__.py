@@ -19,7 +19,7 @@ from .alignment import (
     warp_box,
     warp_image,
 )
-from .assignment import Assignment, km_solve, solve_dense
+from .assignment import Assignment, km_solve
 from .config import TrackerConfig
 from .evaluation import EvalReport, evaluate, evaluate_many, trajectories_from_tracks
 from .gating import (
@@ -65,7 +65,6 @@ from .reconnect import (
     FillRequest,
     ReconnectionPolicy,
     fill_fragment,
-    hold_prediction,
     inertia_fragment,
     reconnection_window,
 )
@@ -121,7 +120,6 @@ __all__ = [
     "fully_connected_cost",
     "gated_cost",
     "generate",
-    "hold_prediction",
     "inertia_fragment",
     "iml_predict",
     "invert_warp",
@@ -138,7 +136,6 @@ __all__ = [
     "read_pgm",
     "read_tracks",
     "reconnection_window",
-    "solve_dense",
     "to_center_form",
     "trajectories_from_tracks",
     "velocity_norm",

@@ -1,10 +1,9 @@
 """Optimal linear assignment over the gated cost matrix.
 
 Semantics: among matchings that avoid forbidden pairs, maximize the
-number of matched pairs, then minimize total cost. This is realized by
-padding the matrix with per-track escape columns priced far above any
-feasible cost but far below the forbidden sentinel, then solving the
-square problem exactly.
+number of matched pairs, then minimize total cost. scipy's
+`linear_sum_assignment` solves the problem restricted to the tracks and
+detections that have an admissible pair.
 """
 
 from __future__ import annotations
@@ -12,14 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .gating import GatedCost
-
-# Price of leaving a track unmatched. Any real cost (<= 1 per pair) is
-# preferred to an escape; an escape is preferred to a forbidden pair
-# (gating.FORBIDDEN is strictly larger), so forbidden entries are
-# structurally unreachable, not merely penalized.
-BIG = 1e9
 
 
 @dataclass
@@ -28,128 +22,43 @@ class Assignment:
     unmatched_tracks: list[int] = field(default_factory=list)
     unmatched_detections: list[int] = field(default_factory=list)
 
-    def matched_detection(self, track_index: int) -> int | None:
-        for t, d in self.pairs:
-            if t == track_index:
-                return d
-        return None
-
-
-def solve_dense(cost: np.ndarray) -> np.ndarray:
-    """Minimum-cost complete assignment of every row to a distinct column.
-
-    cost: (R, C) finite matrix with R <= C. Returns row_to_col (R,).
-    Shortest-augmenting-path method with dual potentials; deterministic:
-    rows are processed in index order and column ties resolve to the
-    lowest index (argmin takes the first occurrence).
-    """
-    cost = np.asarray(cost, dtype=float)
-    r_count, c_count = cost.shape
-    if r_count == 0:
-        return np.empty(0, dtype=np.int64)
-    if r_count > c_count:
-        raise ValueError("need at least as many columns as rows")
-    if not np.isfinite(cost).all():
-        raise ValueError("costs must be finite (use sentinels, not inf)")
-
-    u = np.zeros(r_count)
-    v = np.zeros(c_count)
-    col_row = np.full(c_count, -1, dtype=np.int64)
-
-    for r in range(r_count):
-        minv = np.full(c_count, np.inf)
-        way = np.full(c_count, -1, dtype=np.int64)
-        used = np.zeros(c_count, dtype=bool)
-        cur_row = r
-        prev_col = -1
-        while True:
-            reduced = cost[cur_row] - u[cur_row] - v
-            better = ~used & (reduced < minv)
-            minv[better] = reduced[better]
-            way[better] = prev_col
-            masked = np.where(used, np.inf, minv)
-            j = int(np.argmin(masked))
-            delta = float(masked[j])
-            u[r] += delta
-            if used.any():
-                v[used] -= delta
-                u[col_row[used]] += delta
-            minv[~used] -= delta
-            used[j] = True
-            if col_row[j] < 0:
-                free_col = j
-                break
-            cur_row = int(col_row[j])
-            prev_col = j
-        j = free_col
-        while True:
-            pj = int(way[j])
-            if pj < 0:
-                col_row[j] = r
-                break
-            col_row[j] = col_row[pj]
-            j = pj
-
-    row_col = np.full(r_count, -1, dtype=np.int64)
-    assigned = np.nonzero(col_row >= 0)[0]
-    row_col[col_row[assigned]] = assigned
-    return row_col
-
 
 def km_solve(cost: GatedCost) -> Assignment:
-    """Assign tracks to detections on the admissible pairs of `cost`."""
-    t, k = cost.n_tracks, cost.n_detections
-    if t == 0 or k == 0 or cost.pair_count() == 0:
-        return Assignment([], list(range(t)), list(range(k)))
+    """Assign tracks to detections on the admissible pairs of `cost`.
 
-    dense = cost.dense()
-    padded = np.hstack([dense, np.full((t, t), BIG)])
-    row_col = solve_dense(padded)
+    Returns an optimal matching: as many pairs as possible, then the
+    least total cost. When several matchings tie, which one is returned
+    is unspecified. Pairs come in ascending track order; leftovers are
+    ascending. Raises ValueError on non-finite costs.
 
-    pairs: list[tuple[int, int]] = []
-    unmatched_tracks: list[int] = []
-    matched_dets: set[int] = set()
-    for r in range(t):
-        c = int(row_col[r])
-        if c < k and dense[r, c] < BIG:
-            pairs.append((r, c))
-            matched_dets.add(c)
-        else:
-            unmatched_tracks.append(r)
-    unmatched_detections = [d for d in range(k) if d not in matched_dets]
-    return Assignment(pairs, unmatched_tracks, unmatched_detections)
-
-
-def assignment_total(cost: GatedCost, assignment: Assignment) -> float:
-    """Total cost over the matched pairs (0 for an empty matching)."""
-    dense = cost.dense()
-    return float(sum(dense[r, c] for r, c in assignment.pairs))
-
-
-def brute_force_solve(cost: GatedCost) -> tuple[float, int]:
-    """Exhaustive reference: enumerate all sentinel-avoiding matchings,
-    maximize cardinality then minimize total cost. Returns (total, size).
-    Exponential; intended for small verification instances only.
+    Every pair not listed costs 1 + sum(|costs|). A full assignment of
+    the restricted matrix always has min(rows, columns) entries, so one
+    more admissible pair removes one such entry, which saves more than
+    any difference in admissible costs can add back: the solver
+    maximizes the match count first and minimizes cost second.
     """
     t, k = cost.n_tracks, cost.n_detections
-    admissible: dict[int, list[tuple[int, float]]] = {r: [] for r in range(t)}
-    for r, c, w in zip(cost.rows, cost.cols, cost.costs):
-        admissible[int(r)].append((int(c), float(w)))
+    if not np.isfinite(cost.costs).all():
+        raise ValueError("assignment costs must be finite")
+    if cost.pair_count() == 0:
+        return Assignment([], list(range(t)), list(range(k)))
 
-    best: tuple[int, float] = (-1, np.inf)  # (cardinality, total)
+    rows, row_at = np.unique(cost.rows, return_inverse=True)
+    cols, col_at = np.unique(cost.cols, return_inverse=True)
+    forbidden = 1.0 + float(np.abs(cost.costs).sum())
+    dense = np.full((len(rows), len(cols)), forbidden)
+    dense[row_at, col_at] = cost.costs
+    r, c = linear_sum_assignment(dense)
+    kept = dense[r, c] < forbidden
+    matched_rows = rows[r[kept]]
+    matched_cols = cols[c[kept]]
 
-    def recurse(row: int, used_cols: set[int], size: int, total: float) -> None:
-        nonlocal best
-        if row == t:
-            if size > best[0] or (size == best[0] and total < best[1]):
-                best = (size, total)
-            return
-        recurse(row + 1, used_cols, size, total)
-        for c, w in admissible[row]:
-            if c not in used_cols:
-                used_cols.add(c)
-                recurse(row + 1, used_cols, size + 1, total + w)
-                used_cols.remove(c)
-
-    recurse(0, set(), 0, 0.0)
-    return best[1], best[0]
+    free_tracks = np.ones(t, dtype=bool)
+    free_tracks[matched_rows] = False
+    free_detections = np.ones(k, dtype=bool)
+    free_detections[matched_cols] = False
+    return Assignment(
+        list(zip(matched_rows.tolist(), matched_cols.tolist())),
+        np.flatnonzero(free_tracks).tolist(),
+        np.flatnonzero(free_detections).tolist(),
+    )

@@ -24,9 +24,8 @@ import numpy as np
 from .config import TrackerConfig
 from .geometry import BoundingBox, boxes_to_array, iou_matrix, iou_pairs
 
-# Cost assigned to pairs ruled out by gating or the IoU cut. Strictly
-# larger than the dummy cost used by the assignment solver, so a
-# forbidden pair is never preferred over leaving the track unmatched.
+# Entry of GatedCost.dense() for pairs ruled out by gating or the IoU
+# cut. The assignment solver reads the sparse pairs, not this value.
 FORBIDDEN = 4e9
 
 

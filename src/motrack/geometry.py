@@ -12,7 +12,7 @@ import numpy as np
 class BoundingBox:
     """Corner-form box (x1, y1, x2, y2) in pixels.
 
-    Coordinates are real-valued and may lie outside the frame; boxes are
+    Coordinates are finite reals and may lie outside the frame; boxes are
     never clipped to image bounds. Width and height must be strictly
     positive.
     """
@@ -23,10 +23,12 @@ class BoundingBox:
     y2: float
 
     def __post_init__(self):
-        if not (self.x2 > self.x1 and self.y2 > self.y1):
-            raise ValueError(
-                f"degenerate box: ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
-            )
+        # One chained test covers NaN, infinities and empty extent.
+        inf = math.inf
+        if not (-inf < self.x1 < self.x2 < inf and -inf < self.y1 < self.y2 < inf):
+            coords = (self.x1, self.y1, self.x2, self.y2)
+            kind = "degenerate" if all(map(math.isfinite, coords)) else "non-finite"
+            raise ValueError(f"{kind} box: ({self.x1}, {self.y1}, {self.x2}, {self.y2})")
 
     @property
     def width(self) -> float:
@@ -43,11 +45,6 @@ class BoundingBox:
     @property
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2))
-
-    def scaled(self, factor: float) -> "BoundingBox":
-        """Scale width and height about the center by `factor` (> 0)."""
-        cx, cy, w, h = to_center_form(self)
-        return from_center_form(cx, cy, w * factor, h * factor)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
@@ -89,6 +86,19 @@ def from_center_form(cx: float, cy: float, w: float, h: float) -> BoundingBox:
     if w <= 0 or h <= 0:
         raise ValueError(f"non-positive size: w={w}, h={h}")
     return BoundingBox(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)
+
+
+def corners_to_centers(boxes: np.ndarray) -> np.ndarray:
+    """(T, 4) corner-form rows -> (T, 4) center-form rows, as to_center_form."""
+    size = boxes[:, 2:] - boxes[:, :2]
+    return np.concatenate([boxes[:, :2] + 0.5 * size, size], axis=1)
+
+
+def centers_to_corners(boxes: np.ndarray) -> np.ndarray:
+    """(T, 4) center-form rows -> (T, 4) corner-form rows, as from_center_form
+    (without its size check)."""
+    half = 0.5 * boxes[:, 2:]
+    return np.concatenate([boxes[:, :2] - half, boxes[:, :2] + half], axis=1)
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -149,10 +159,3 @@ def boxes_to_array(boxes) -> np.ndarray:
     if not boxes:
         return np.zeros((0, 4), dtype=np.float64)
     return np.array([[b.x1, b.y1, b.x2, b.y2] for b in boxes], dtype=np.float64)
-
-
-def box_distance(a: BoundingBox, b: BoundingBox) -> float:
-    """Euclidean distance between box centers."""
-    ax, ay = a.center
-    bx, by = b.center
-    return math.hypot(ax - bx, ay - by)

@@ -8,6 +8,7 @@ they can be told apart from detection-backed boxes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +33,13 @@ class MotRecord:
     def __post_init__(self) -> None:
         if self.frame < 1:
             raise ValueError(f"frame must be >= 1, got {self.frame}")
+        # Chained comparisons, as in BoundingBox: NaN fails every one.
+        inf = math.inf
+        if not (
+            -inf < self.x < inf and -inf < self.y < inf
+            and -inf < self.w < inf and -inf < self.h < inf
+        ):
+            raise ValueError(f"non-finite box ({self.x}, {self.y}, {self.w}, {self.h})")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"non-positive box size {self.w}x{self.h}")
 

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .alignment import (
     AffineWarp,
     CameraMotionLog,
@@ -31,16 +33,22 @@ from .alignment import (
 from .config import TrackerConfig
 from .gating import CellGrid, fully_connected_cost, gated_cost
 from .assignment import km_solve
-from .geometry import BoundingBox, Detection
+from .geometry import BoundingBox, Detection, boxes_to_array, centers_to_corners
 from .kalman import (
-    DegenerateStateError,
+    MEAS_DIM,
+    STATE_DIM,
+    KalmanState,
     MotionParams,
-    iml_predict,
     km_init,
-    km_predict,
-    km_update,
+    predict_states,
+    update_states,
     velocity_norm,
 )
+
+# Not called here since the filter runs on all live tracks at once, but
+# kept importable from this module: the benchmark's tracer looks up its
+# layer functions by name on `motrack.pipeline`.
+from .kalman import iml_predict, km_predict, km_update  # noqa: F401
 from .reconnect import FillRequest, ReconnectionPolicy, fill_fragment, reconnection_window
 from .tracks import TrackRecord, TrackStatus
 
@@ -184,27 +192,28 @@ class Tracker:
         warp = self._frame_warp(packet, events)
         i_cam = camera_intensity(warp)
 
-        # Coast every live track through the warp. Posterior states of
-        # active tracks are snapshotted first: if the track loses its
-        # detection this frame, that posterior anchors the future fill.
+        # Coast every live track through the warp, all in one batch. The
+        # posterior states stay on `posteriors`: if an active track loses
+        # its detection this frame, its posterior anchors the future fill.
         live = self.store.non_finished()
-        pre_states = {
-            t.track_id: t.state.copy()
-            for t in live
-            if t.status is TrackStatus.ACTIVE
-        }
-        predictions: dict[int, BoundingBox] = {}
-        for track in live:
-            try:
-                track.state = iml_predict(track.state, warp, params)
-            except DegenerateStateError:
-                logger.warning(
-                    "warp degenerated track %d at frame %d; coasting without it",
-                    track.track_id,
-                    frame,
-                )
-                track.state = km_predict(track.state, params)
-            predictions[track.track_id] = track.state.box()
+        posteriors = [t.state for t in live]
+        means, covs, collapsed = predict_states(
+            np.array([s.mean for s in posteriors]).reshape(-1, STATE_DIM),
+            np.array([s.cov for s in posteriors]).reshape(-1, STATE_DIM, STATE_DIM),
+            warp,
+            params,
+        )
+        for row in np.flatnonzero(collapsed).tolist():
+            logger.warning(
+                "warp degenerated track %d at frame %d; coasting without it",
+                live[row].track_id,
+                frame,
+            )
+        for track, mean, cov in zip(live, means, covs):
+            track.state = KalmanState(mean, cov)
+        predictions = [
+            BoundingBox(*box) for box in centers_to_corners(means[:, :MEAS_DIM]).tolist()
+        ]
 
         detections = [
             d for d in packet.detections if d.confidence >= self.config.confidence_floor
@@ -212,17 +221,19 @@ class Tracker:
         if self.refine_detections is not None:
             detections = self.refine_detections(detections, self.store)
 
-        track_ids = [t.track_id for t in live]
-        track_boxes = [predictions[tid] for tid in track_ids]
         det_boxes = [d.box for d in detections]
+        # Positional calls, once per step: the benchmark's tracer swaps
+        # these module names for wrappers that take positional arguments.
         if self.config.use_gating:
-            cost = gated_cost(track_boxes, det_boxes, self.grid, self.config)
+            cost = gated_cost(predictions, det_boxes, self.grid, self.config)
         else:
-            cost = fully_connected_cost(track_boxes, det_boxes, self.config)
+            cost = fully_connected_cost(predictions, det_boxes, self.config)
         assignment = km_solve(cost)
 
+        # Nothing in this loop reads a matched track's state; the batched
+        # update after it writes them all.
         for row, col in assignment.pairs:
-            track = self.store.tracks[track_ids[row]]
+            track = live[row]
             det = detections[col]
             events.matches.append((track.track_id, col))
             if track.status is TrackStatus.DEACTIVATED:
@@ -247,17 +258,24 @@ class Tracker:
                 req.post_b_tracklet.append(det.box)
                 if len(req.post_b_tracklet) >= self.config.backward_tracklet_len:
                     events.fills.append(self._resolve_fill(track.track_id))
-            track.state = km_update(track.state, det.box, params)
             track.commit(frame, det.box, det.confidence)
 
+        if assignment.pairs:
+            rows = [row for row, _ in assignment.pairs]
+            observed = boxes_to_array([detections[col].box for _, col in assignment.pairs])
+            means, covs = update_states(means[rows], covs[rows], observed, params)
+            for row, mean, cov in zip(rows, means, covs):
+                live[row].state = KalmanState(mean, cov)
+
         for row in assignment.unmatched_tracks:
-            track = self.store.tracks[track_ids[row]]
+            track = live[row]
             if track.status is TrackStatus.ACTIVE:
                 if track.track_id in self.pending_fills:
                     # The post-reconnection tracklet just broke; fill with
                     # however many boxes it gathered.
                     events.fills.append(self._resolve_fill(track.track_id))
-                track.deactivate(track.last_frame, pre_states[track.track_id])
+                # A copy, so the snapshot holds no view into a batch array.
+                track.deactivate(track.last_frame, posteriors[row].copy())
             v_norm = velocity_norm(track.state, self.diagonal)
             if self.config.fixed_window:
                 window = self.policy.l_max
@@ -266,9 +284,10 @@ class Tracker:
             track.window = window
             if track.deactivated_len > window:
                 track.finish()
+                track.state = track.state.copy()  # let go of the batch arrays
                 events.expirations.append(track.track_id)
             else:
-                track.hold(frame, predictions[track.track_id])
+                track.hold()
 
         for col in assignment.unmatched_detections:
             spawned = self.store.new_track(detections[col], params)

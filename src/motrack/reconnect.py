@@ -28,7 +28,6 @@ from .kalman import (
     km_predict,
     km_update,
 )
-from .tracks import TrackRecord
 
 logger = logging.getLogger(__name__)
 
@@ -187,17 +186,3 @@ def inertia_fragment(
             state = km_init(linear[f], params)
     return out
 
-
-def hold_prediction(
-    track: TrackRecord,
-    warp: AffineWarp,
-    params: MotionParams,
-    frame: int,
-) -> None:
-    """Advance a deactivated track one frame without a detection: predict
-    through the warp, buffer the predicted box provisionally, and count
-    the miss. The buffer never reaches committed history; reconnection
-    replaces it with filled boxes and expiry discards it.
-    """
-    track.state = iml_predict(track.state, warp, params)
-    track.hold(frame, track.state.box())

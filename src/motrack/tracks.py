@@ -1,5 +1,5 @@
-"""Track bookkeeping: lifecycle status, committed history, and the
-provisional buffer used while a track coasts without detections.
+"""Track bookkeeping: lifecycle status, committed history, and the miss
+count of a track that coasts without detections.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ class TrackStatus(enum.Enum):
 class TrackRecord:
     """One target's full record.
 
-    `history` holds committed boxes only. While deactivated, per-frame
-    coasting predictions accumulate in `provisional`; they are discarded
-    on expiry and replaced by filled boxes on reconnection, so they never
-    leak into output. `snapshot` is the posterior motion state at the
-    last committed frame before deactivation; the gap filler restarts
+    `history` holds committed boxes only. Coasting predictions never
+    enter it: reconnection commits filled boxes for the gap instead, and
+    expiry commits nothing. `snapshot` is the posterior motion state at
+    the last committed frame before deactivation; the gap filler restarts
     from it.
     """
 
@@ -44,7 +43,6 @@ class TrackRecord:
     window: float = 0.0
     deactivation_frame: int | None = None
     snapshot: KalmanState | None = None
-    provisional: dict[int, BoundingBox] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.track_id <= 0:
@@ -73,7 +71,6 @@ class TrackRecord:
         self.deactivation_frame = frame_a
         self.snapshot = snapshot
         self.deactivated_len = 0
-        self.provisional = {}
 
     def reactivate(self) -> None:
         if self.status is not TrackStatus.DEACTIVATED:
@@ -82,17 +79,14 @@ class TrackRecord:
         self.deactivated_len = 0
         self.deactivation_frame = None
         self.snapshot = None
-        self.provisional = {}
 
     def finish(self) -> None:
         self.status = TrackStatus.FINISHED
-        self.provisional = {}
 
-    def hold(self, frame: int, box: BoundingBox) -> None:
-        """Buffer a coasting prediction for `frame` and count the miss."""
+    def hold(self) -> None:
+        """Count one more frame coasted without a detection."""
         if self.status is not TrackStatus.DEACTIVATED:
             raise ValueError("holds apply to deactivated tracks only")
-        self.provisional[frame] = box
         self.deactivated_len += 1
 
     def sorted_frames(self) -> list[int]:

@@ -1,21 +1,16 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
-from motrack.assignment import (
-    BIG,
-    Assignment,
-    assignment_total,
-    brute_force_solve,
-    km_solve,
-    solve_dense,
-)
+from motrack.assignment import Assignment, km_solve
 from motrack.gating import FORBIDDEN, GatedCost
 
 
 def from_dense(mat) -> GatedCost:
-    """GatedCost with every entry below BIG admissible."""
+    """GatedCost with every entry below FORBIDDEN admissible."""
     mat = np.asarray(mat, dtype=float)
-    rows, cols = np.nonzero(mat < BIG)
+    rows, cols = np.nonzero(mat < FORBIDDEN)
     return GatedCost(mat.shape[0], mat.shape[1], rows, cols, mat[rows, cols])
 
 
@@ -28,48 +23,39 @@ def random_cost(rng) -> GatedCost:
     return from_dense(mat)
 
 
-# ---------------------------------------------------------------- solve_dense
+def assignment_total(cost: GatedCost, assignment: Assignment) -> float:
+    """Total cost over the matched pairs (0 for an empty matching)."""
+    dense = cost.dense()
+    return float(sum(dense[r, c] for r, c in assignment.pairs))
 
 
-def test_solve_dense_single_cell():
-    assert solve_dense(np.array([[0.0]])).tolist() == [0]
+def brute_force_solve(cost: GatedCost) -> tuple[float, int]:
+    """Exhaustive reference: enumerate all matchings over admissible pairs,
+    maximize cardinality then minimize total cost. Returns (total, size).
+    Exponential; for small verification instances only.
+    """
+    t = cost.n_tracks
+    admissible: dict[int, list[tuple[int, float]]] = {r: [] for r in range(t)}
+    for r, c, w in zip(cost.rows, cost.cols, cost.costs):
+        admissible[int(r)].append((int(c), float(w)))
 
+    best: tuple[int, float] = (-1, np.inf)  # (cardinality, total)
 
-def test_solve_dense_known_two_by_two():
-    # (0,1)+(1,0) totals 4, beating the diagonal's 5.
-    row_col = solve_dense(np.array([[1.0, 2.0], [2.0, 4.0]]))
-    assert row_col.tolist() == [1, 0]
+    def recurse(row: int, used_cols: set[int], size: int, total: float) -> None:
+        nonlocal best
+        if row == t:
+            if size > best[0] or (size == best[0] and total < best[1]):
+                best = (size, total)
+            return
+        recurse(row + 1, used_cols, size, total)
+        for c, w in admissible[row]:
+            if c not in used_cols:
+                used_cols.add(c)
+                recurse(row + 1, used_cols, size + 1, total + w)
+                used_cols.remove(c)
 
-
-def test_solve_dense_rectangular_leaves_worst_column():
-    row_col = solve_dense(np.array([[5.0, 1.0, 9.0], [4.0, 8.0, 2.0]]))
-    assert row_col.tolist() == [1, 2]
-
-
-def test_solve_dense_rejects_more_rows_than_columns():
-    with pytest.raises(ValueError):
-        solve_dense(np.zeros((3, 2)))
-
-
-def test_solve_dense_rejects_non_finite():
-    with pytest.raises(ValueError):
-        solve_dense(np.array([[0.0, np.inf]]))
-
-
-def test_solve_dense_empty():
-    assert solve_dense(np.zeros((0, 4))).size == 0
-
-
-def test_solve_dense_matches_permutation_brute_force():
-    from itertools import permutations
-
-    rng = np.random.default_rng(7)
-    for _ in range(60):
-        n = int(rng.integers(1, 6))
-        mat = rng.random((n, n))
-        got = solve_dense(mat)
-        best = min(sum(mat[i, p[i]] for i in range(n)) for p in permutations(range(n)))
-        assert float(mat[np.arange(n), got].sum()) == pytest.approx(best, abs=1e-12)
+    recurse(0, set(), 0, 0.0)
+    return best[1], best[0]
 
 
 # ------------------------------------------------------------------- km_solve
@@ -148,13 +134,51 @@ def test_partition_accounting():
         assert dets == list(range(cost.n_detections))
 
 
-def test_matched_detection_lookup():
-    a = Assignment(pairs=[(0, 2), (3, 1)])
-    assert a.matched_detection(0) == 2
-    assert a.matched_detection(3) == 1
-    assert a.matched_detection(1) is None
-
-
 def test_assignment_total_empty_matching():
     cost = from_dense([[0.3]])
     assert assignment_total(cost, Assignment()) == 0.0
+
+
+def test_rectangular_leaves_worst_detection():
+    a = km_solve(from_dense([[5.0, 1.0, 9.0], [4.0, 8.0, 2.0]]))
+    assert a.pairs == [(0, 1), (1, 2)]
+    assert a.unmatched_detections == [0]
+
+
+def test_more_tracks_than_detections():
+    a = km_solve(from_dense([[0.5], [0.1], [0.3]]))
+    assert a.pairs == [(1, 0)]
+    assert a.unmatched_tracks == [0, 2]
+    assert a.unmatched_detections == []
+
+
+def test_empty_problem():
+    for t, k in [(0, 4), (3, 0), (0, 0)]:
+        a = km_solve(GatedCost(t, k, np.empty(0, int), np.empty(0, int), np.empty(0)))
+        assert a.pairs == []
+        assert a.unmatched_tracks == list(range(t))
+        assert a.unmatched_detections == list(range(k))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_rejects_non_finite_costs(bad):
+    cost = GatedCost(1, 2, np.array([0, 0]), np.array([0, 1]), np.array([0.5, bad]))
+    with pytest.raises(ValueError):
+        km_solve(cost)
+
+
+def test_dense_square_matches_permutation_search():
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        n = int(rng.integers(1, 6))
+        mat = rng.random((n, n))
+        a = km_solve(from_dense(mat))
+        assert len(a.pairs) == n
+        best = min(sum(mat[i, p[i]] for i in range(n)) for p in permutations(range(n)))
+        assert sum(mat[r, c] for r, c in a.pairs) == pytest.approx(best, abs=1e-12)
+
+
+def test_negative_costs_keep_cardinality_first():
+    # (0, 0) alone totals -5, yet the one two-pair matching (total -2) wins.
+    a = km_solve(from_dense([[-5.0, -1.0], [FORBIDDEN, 3.0]]))
+    assert a.pairs == [(0, 0), (1, 1)]

@@ -1,12 +1,12 @@
 """IDF1 from the blocked co-occurrence count against the per-pair oracle."""
 
+from itertools import permutations
 from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from motrack import evaluation
-from motrack.assignment import solve_dense
 from motrack.evaluation import evaluate
 from motrack.geometry import BoundingBox, iou
 
@@ -30,13 +30,17 @@ def reference_idf1(hypotheses, ground_truth, threshold):
                 1 for f in shared if iou(g_hist[f], h_hist[f]) >= threshold
             )
 
-    # Maximize total co-occurring frames over a one-to-one id matching.
-    cost = -counts
-    if cost.shape[0] > cost.shape[1]:
-        cost = cost.T
-    row_col = solve_dense(cost)
-    idtp = -float(sum(cost[r, c] for r, c in enumerate(row_col)))
-    return 2.0 * idtp / (total_gt + total_hyp)
+    # Maximize total co-occurring frames over a one-to-one id matching,
+    # by trying every matching (the strategies draw at most 5 ids a side).
+    # Counts are non-negative, so some largest matching attains the best.
+    if counts.shape[0] > counts.shape[1]:
+        counts = counts.T
+    n_small, n_large = counts.shape
+    idtp = max(
+        sum(counts[i, j] for i, j in enumerate(chosen))
+        for chosen in permutations(range(n_large), n_small)
+    )
+    return 2.0 * float(idtp) / (total_gt + total_hyp)
 
 
 # A coarse integer grid puts many pairs exactly on IoU 1/2, 1/3 and 1.

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,8 +5,9 @@ from hypothesis import given, strategies as st
 from motrack.geometry import (
     BoundingBox,
     Detection,
-    box_distance,
     boxes_to_array,
+    centers_to_corners,
+    corners_to_centers,
     from_center_form,
     iou,
     iou_matrix,
@@ -32,6 +31,21 @@ def test_box_requires_positive_extent():
         BoundingBox(0, 5, 10, 5)
     with pytest.raises(ValueError):
         BoundingBox(10, 0, 0, 10)
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        (100, 100, float("inf"), 200),
+        (float("-inf"), 100, 150, 200),
+        (100, float("-inf"), 150, float("inf")),
+        (100, 100, 150, float("nan")),
+        (float("nan"), 100, 150, 200),
+    ],
+)
+def test_box_rejects_non_finite_coordinates(coords):
+    with pytest.raises(ValueError, match="non-finite box"):
+        BoundingBox(*coords)
 
 
 def test_box_accessors():
@@ -156,7 +170,12 @@ def test_boxes_to_array_empty_and_order():
     assert arr.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]]
 
 
-def test_box_distance():
-    a = BoundingBox(0, 0, 10, 10)
-    b = BoundingBox(30, 40, 40, 50)
-    assert box_distance(a, b) == pytest.approx(math.hypot(35 - 5, 45 - 5))
+@given(st.lists(valid_boxes(), max_size=6))
+def test_array_center_forms_match_scalar(boxes):
+    corners = boxes_to_array(boxes)
+    centers = corners_to_centers(corners)
+    assert centers.tolist() == [list(to_center_form(b)) for b in boxes]
+    back = centers_to_corners(centers)
+    assert back.tolist() == [
+        [f.x1, f.y1, f.x2, f.y2] for f in (from_center_form(*c) for c in centers.tolist())
+    ]

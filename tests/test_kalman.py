@@ -2,11 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motrack.alignment import AffineWarp
 from motrack.geometry import BoundingBox, from_center_form
 from motrack.kalman import (
     MEAS_DIM,
+    SIZE_FLOOR,
     STATE_DIM,
     DegenerateStateError,
     KalmanState,
@@ -15,6 +17,8 @@ from motrack.kalman import (
     km_predict,
     km_update,
     iml_predict,
+    predict_states,
+    update_states,
     velocity_norm,
 )
 
@@ -177,6 +181,19 @@ def test_iml_collapsing_warp_raises():
         iml_predict(state, collapse, PARAMS)
 
 
+def test_floored_box_coasts_through_translation():
+    # Shrinking height velocity floors the box on the first step; the warp
+    # must still apply on every later step instead of raising.
+    state = km_init(from_center_form(300.0, 200.0, 40.0, 2.0), PARAMS)
+    state.mean[7] = -5.0
+    warp = AffineWarp.translation(4.0, 0.0)
+    for step in range(1, 6):
+        state = iml_predict(state, warp, PARAMS)
+        assert state.mean[3] == pytest.approx(SIZE_FLOOR, rel=1e-6)
+        assert state.mean[0] == pytest.approx(300.0 + 4.0 * step, abs=1e-9)
+        assert state.mean[1] == pytest.approx(200.0, abs=1e-9)
+
+
 def test_velocity_norm():
     state = km_init(BoundingBox(0, 0, 10, 20), PARAMS)
     assert velocity_norm(state, 100.0) == 0.0
@@ -195,3 +212,73 @@ def test_state_copy_is_deep():
     dup.cov[0, 0] = 99.0
     assert state.mean[0] == 5.0
     assert state.cov[0, 0] != 99.0
+
+
+# -------------------------------------------------- batched filter invariance
+
+WARPS = {
+    "identity": AffineWarp.identity(),
+    "translation": AffineWarp.translation(6.5, -3.25),
+    "scale": AffineWarp(np.array([[0.8, 0.0, 12.0], [0.0, 0.8, -7.0]])),
+    # Maps x - y: square boxes may collapse, others do not.
+    "shear": AffineWarp(np.array([[1.0, -1.0, 0.0], [0.0, 1.0, 0.0]])),
+    "collapse": AffineWarp(np.array([[0.0, 0.0, 5.0], [0.0, 1.0, 0.0]])),
+}
+
+
+@st.composite
+def states(draw):
+    cx = draw(st.floats(0.0, 2000.0))
+    cy = draw(st.floats(0.0, 1200.0))
+    # Sizes include the floor itself and boxes the velocity floors.
+    w = draw(st.sampled_from([SIZE_FLOOR, 1.0, 37.5]) | st.floats(SIZE_FLOOR, 300.0))
+    square = draw(st.booleans())
+    h = w if square else draw(st.floats(SIZE_FLOOR, 300.0))
+    velocity = draw(st.lists(st.floats(-20.0, 20.0), min_size=4, max_size=4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    state = km_init(BoundingBox(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h), PARAMS)
+    state.mean[:MEAS_DIM] = (cx, cy, w, h)
+    state.mean[MEAS_DIM:] = velocity
+    a = np.random.default_rng(seed).uniform(-1.0, 1.0, (STATE_DIM, STATE_DIM))
+    state.cov = state.cov + a @ a.T
+    obs = from_center_form(
+        cx + draw(st.floats(-10.0, 10.0)),
+        cy + draw(st.floats(-10.0, 10.0)),
+        draw(st.floats(1.0, 300.0)),
+        draw(st.floats(1.0, 300.0)),
+    )
+    return state, obs
+
+
+def assert_rows_close(batch, single):
+    scale = np.maximum(1.0, np.abs(single))
+    assert np.all(np.abs(batch - single) <= 1e-9 * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(states(), min_size=1, max_size=6), st.sampled_from(sorted(WARPS)))
+def test_batched_filter_equals_single_track_rows(drawn, warp_name):
+    warp = WARPS[warp_name]
+    means = np.stack([s.mean for s, _ in drawn])
+    covs = np.stack([s.cov for s, _ in drawn])
+    pred_means, pred_covs, collapsed = predict_states(means, covs, warp, PARAMS)
+    # Inputs are left untouched.
+    assert np.array_equal(means, np.stack([s.mean for s, _ in drawn]))
+
+    for i, (state, _) in enumerate(drawn):
+        try:
+            single = iml_predict(state, warp, PARAMS)
+        except DegenerateStateError:
+            assert collapsed[i]
+            single = km_predict(state, PARAMS)
+        else:
+            assert not collapsed[i]
+        assert_rows_close(pred_means[i], single.mean)
+        assert_rows_close(pred_covs[i], single.cov)
+
+    observed = np.stack([obs.as_array() for _, obs in drawn])
+    upd_means, upd_covs = update_states(pred_means, pred_covs, observed, PARAMS)
+    for i, (_, obs) in enumerate(drawn):
+        single = km_update(KalmanState(pred_means[i], pred_covs[i]), obs, PARAMS)
+        assert_rows_close(upd_means[i], single.mean)
+        assert_rows_close(upd_covs[i], single.cov)

@@ -246,6 +246,22 @@ def test_supplied_warp_is_logged_and_applied():
     assert len(tracks) == 1 and len(tracks[0].history) == 11
 
 
+def test_collapsing_warp_leaves_only_that_track_unwarped(caplog):
+    # x' = x - y maps both corners of a square box onto one x: only the
+    # square track collapses; the tall one is warped as usual.
+    shear = AffineWarp(np.array([[1.0, -1.0, 0.0], [0.0, 1.0, 0.0]]))
+    tracker = Tracker(frame_size=SIZE)
+    tracker.step(FramePacket(1, [det(1, 200.0, 270.0, w=60.0, h=60.0), det(1, 600.0, 270.0)]))
+    with caplog.at_level("WARNING", logger="motrack.pipeline"):
+        tracker.step(FramePacket(2, [], warp=shear))
+    assert [r.getMessage() for r in caplog.records] == [
+        "warp degenerated track 1 at frame 2; coasting without it"
+    ]
+    square, tall = tracker.store.tracks[1], tracker.store.tracks[2]
+    assert square.state.mean[:4].tolist() == [200.0, 270.0, 60.0, 60.0]
+    assert tall.state.mean[:4].tolist() == [600.0 - 270.0, 270.0, 60.0, 120.0]
+
+
 def test_tracks_come_back_sorted_and_frozen():
     packets = []
     for f in range(1, 11):

@@ -97,6 +97,14 @@ def test_read_detections_clamps_confidence(tmp_path):
     assert confs == [1.0, 0.0]
 
 
+@pytest.mark.parametrize("field", ["inf", "-inf", "nan"])
+def test_read_detections_rejects_non_finite_boxes(tmp_path, field):
+    path = tmp_path / "det.txt"
+    path.write_text(f"1,-1,10,10,5,5,0.9\n2,-1,100,100,{field},100,0.9\n")
+    with pytest.raises(ValueError, match=":2: non-finite box"):
+        read_detections(path)
+
+
 def test_read_detections_empty_file(tmp_path):
     path = tmp_path / "det.txt"
     path.write_text("")
@@ -430,6 +438,16 @@ def test_cli_reports_bad_input_path(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_track_rejects_non_finite_detection(tmp_path, capsys):
+    det = tmp_path / "det.txt"
+    det.write_text("1,-1,100,100,50,100,0.9\n2,-1,100,100,inf,100,0.9\n")
+    out = tmp_path / "res.txt"
+    code = main(["track", "--detections", str(det), "--output", str(out)])
+    assert code == 1
+    assert "non-finite box" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_bench_gating_writes_csv(tmp_path):

@@ -1,9 +1,7 @@
 import pytest
 
-from motrack.alignment import AffineWarp
 from motrack.geometry import BoundingBox
 from motrack.kalman import MotionParams, km_init
-from motrack.reconnect import hold_prediction
 from motrack.tracks import FILL_CONFIDENCE, TrackRecord, TrackStatus
 
 
@@ -74,31 +72,25 @@ def test_finished_history_is_frozen():
 def test_hold_requires_deactivation():
     t = make_track()
     with pytest.raises(ValueError):
-        t.hold(6, BoundingBox(0, 0, 10, 10))
+        t.hold()
 
 
 def test_hold_buffer_tracks_miss_count():
     t = make_track()
     t.deactivate(5, t.state.copy())
-    params = MotionParams()
-    for frame in range(6, 14):
-        hold_prediction(t, AffineWarp.identity(), params, frame)
-        assert t.deactivated_len == len(t.provisional)
-    assert sorted(t.provisional) == list(range(6, 14))
-    # Nothing provisional reaches committed history.
+    for held in range(1, 9):
+        t.hold()
+        assert t.deactivated_len == held
+    # Holding commits nothing.
     assert sorted(t.history) == [5]
 
 
-def test_provisional_buffer_cleared_on_reactivate_and_finish():
+def test_miss_count_resets_on_reactivate():
     t = make_track()
     t.deactivate(5, t.state.copy())
-    t.hold(6, BoundingBox(100, 100, 160, 220))
+    t.hold()
     t.reactivate()
-    assert t.provisional == {} and t.deactivated_len == 0
-    t.deactivate(5, t.state.copy())
-    t.hold(6, BoundingBox(100, 100, 160, 220))
-    t.finish()
-    assert t.provisional == {}
+    assert t.deactivated_len == 0
 
 
 def test_normalize_order_sorts_late_fills():
