@@ -74,6 +74,19 @@ def test_known_total_two_by_two():
     assert assignment_total(cost, a) == pytest.approx(4.0)
 
 
+def test_solve_dense_single_cell():
+    # A zero cost prices forbidden pairs at exactly 1; the one cell still matches.
+    a = km_solve(from_dense([[0.0]]))
+    assert a.pairs == [(0, 0)]
+    assert a.unmatched_tracks == [] and a.unmatched_detections == []
+
+
+def test_solve_dense_known_two_by_two():
+    # (0,1)+(1,0) totals 4, beating the diagonal's 5; pairs in track order.
+    a = km_solve(from_dense([[1.0, 2.0], [2.0, 4.0]]))
+    assert a.pairs == [(0, 1), (1, 0)]
+
+
 def test_forbidden_pairs_never_matched():
     cost = from_dense([[0.1, FORBIDDEN], [0.2, FORBIDDEN]])
     a = km_solve(cost)
