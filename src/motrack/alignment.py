@@ -119,8 +119,10 @@ class EccParams:
     def __post_init__(self) -> None:
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        # Written so that NaN, which fails every comparison and would
+        # disable the step-size stop, is rejected too.
+        if not (0 < self.epsilon < math.inf):
+            raise ValueError("epsilon must be positive and finite")
         if self.pyramid_levels <= 0:
             raise ValueError("pyramid_levels must be positive")
         if self.working_width <= 0:
@@ -203,30 +205,21 @@ def _scale_translation(warp: np.ndarray, factor: float) -> np.ndarray:
     return scaled
 
 
-def _sample(image: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    # map_coordinates wants (row, col) = (y, x)
-    return ndimage.map_coordinates(
-        image, np.vstack([ys, xs]), order=1, mode="nearest", output=float
-    )
+def _shift_correlation(template: np.ndarray, image: np.ndarray, dx: int, dy: int) -> float:
+    """Zero-mean correlation of the template against the image shifted by
+    the integer offset (dx, dy), over the in-bounds support inside the
+    border margin; -1 when the support is too small or flat.
 
-
-def _masked_correlation(
-    template: np.ndarray, image: np.ndarray, warp: np.ndarray
-) -> float:
-    """Zero-mean correlation of the template against the warped image over
-    the in-bounds support, -1 when the support is too small or flat."""
+    Under a pure integer translation the support is a rectangle, so both
+    sides are plain slices, in the same row-major order as the points of
+    the support."""
     h, w = template.shape
-    ys, xs = np.mgrid[BORDER_MARGIN : h - BORDER_MARGIN, BORDER_MARGIN : w - BORDER_MARGIN]
-    xs = xs.reshape(-1).astype(float)
-    ys = ys.reshape(-1).astype(float)
-    xw = warp[0, 0] * xs + warp[0, 1] * ys + warp[0, 2]
-    yw = warp[1, 0] * xs + warp[1, 1] * ys + warp[1, 2]
-    mask = (xw >= 0) & (xw <= w - 1) & (yw >= 0) & (yw <= h - 1)
-    if int(mask.sum()) < MIN_SUPPORT_PIXELS:
+    y0, y1 = max(BORDER_MARGIN, -dy), min(h - BORDER_MARGIN, h - dy)
+    x0, x1 = max(BORDER_MARGIN, -dx), min(w - BORDER_MARGIN, w - dx)
+    if y1 <= y0 or x1 <= x0 or (y1 - y0) * (x1 - x0) < MIN_SUPPORT_PIXELS:
         return -1.0
-    iw = _sample(image, xw[mask], yw[mask])
-    ir = template[BORDER_MARGIN : h - BORDER_MARGIN, BORDER_MARGIN : w - BORDER_MARGIN]
-    ir = ir.reshape(-1)[mask]
+    ir = template[y0:y1, x0:x1].reshape(-1)
+    iw = image[y0 + dy : y1 + dy, x0 + dx : x1 + dx].reshape(-1)
     ir = ir - ir.mean()
     iw = iw - iw.mean()
     denom = np.linalg.norm(ir) * np.linalg.norm(iw)
@@ -235,27 +228,61 @@ def _masked_correlation(
     return float(ir @ iw / denom)
 
 
-def _best_integer_shift(
-    template: np.ndarray, image: np.ndarray, warp: np.ndarray, radius: int
-) -> np.ndarray:
-    """Nudge the warp's translation by the integer offset (within +-radius)
-    that maximizes correlation. Gradient steps need to start inside the
-    correlation basin; an exhaustive shift search at the coarsest pyramid
-    level buys a wide capture range for a few hundred tiny evaluations."""
-    best = warp
-    best_rho = _masked_correlation(template, image, warp)
+def _best_integer_shift(template: np.ndarray, image: np.ndarray, radius: int) -> tuple[int, int]:
+    """The integer offset (dx, dy) within +-radius, starting from the
+    identity, that maximizes correlation. Gradient steps need to start
+    inside the correlation basin; an exhaustive shift search at the
+    coarsest pyramid level buys a wide capture range for a few hundred
+    tiny evaluations."""
+    best = (0, 0)
+    best_rho = _shift_correlation(template, image, 0, 0)
     for dy in range(-radius, radius + 1):
         for dx in range(-radius, radius + 1):
             if dx == 0 and dy == 0:
                 continue
-            shifted = warp.copy()
-            shifted[0, 2] += dx
-            shifted[1, 2] += dy
-            rho = _masked_correlation(template, image, shifted)
+            rho = _shift_correlation(template, image, dx, dy)
             if rho > best_rho:
                 best_rho = rho
-                best = shifted
+                best = (dx, dy)
     return best
+
+
+def _bilinear(
+    flats: tuple[np.ndarray, ...], width: int, height: int, xs: np.ndarray, ys: np.ndarray
+) -> list[np.ndarray]:
+    """Bilinear samples of each flattened (height, width) image at the
+    points (xs, ys), all inside the closed [0, width-1] x [0, height-1].
+
+    Equal, up to rounding, to order-1 `ndimage.map_coordinates` with
+    mode="nearest": clamping the cell corner to width-2 (height-2) puts a
+    point on the last column (row) at weight 1 on that column. Indices
+    and weights are computed once for all images.
+    """
+    # Points are non-negative, so truncation is the floor. In-place
+    # arithmetic keeps the number of point-sized temporaries down.
+    x0 = xs.astype(np.intp)
+    np.minimum(x0, width - 2, out=x0)
+    i00 = ys.astype(np.intp)
+    np.minimum(i00, height - 2, out=i00)
+    w01 = xs - x0
+    w10 = ys - i00
+    i00 *= width
+    i00 += x0
+    del x0
+    w11 = w01 * w10
+    w01 -= w11
+    w10 -= w11
+    w00 = 1.0 - w01
+    w00 -= w10
+    w00 -= w11
+    out = []
+    for flat in flats:
+        value = flat.take(i00)
+        value *= w00
+        for offset, weight in ((1, w01), (width, w10), (width + 1, w11)):
+            value += flat[offset:].take(i00) * weight
+        out.append(value)
+    return out
 
 
 def _align_level(
@@ -279,6 +306,7 @@ def _align_level(
     template_flat = template_flat.reshape(-1)
 
     grad_y, grad_x = np.gradient(image)
+    flats = (image.reshape(-1), grad_x.reshape(-1), grad_y.reshape(-1))
 
     best_warp = warp.copy()
     rho_prev = -2.0
@@ -293,11 +321,9 @@ def _align_level(
                 raise EccSingularError("warped support left the image")
             return best_warp, max(rho_prev, -1.0)
 
-        xm, ym = xs[mask], ys[mask]
-        xwm, ywm = xw[mask], yw[mask]
-        iw = _sample(image, xwm, ywm)
-        gx = _sample(grad_x, xwm, ywm)
-        gy = _sample(grad_y, xwm, ywm)
+        # After a converged step this pass only measures the correlation,
+        # so the gradients are not sampled.
+        iw, *grads = _bilinear(flats[:1] if converged else flats, w, h, xw[mask], yw[mask])
 
         ir = template_flat[mask]
         ir = ir - ir.mean()
@@ -323,7 +349,15 @@ def _align_level(
 
         # Jacobian columns follow the row-major parameter order
         # [a11, a12, tx, a21, a22, ty].
-        jac = np.stack([gx * xm, gx * ym, gx, gy * xm, gy * ym, gy], axis=1)
+        gx, gy = grads
+        xm, ym = xs[mask], ys[mask]
+        jac = np.empty((xm.size, 6))
+        np.multiply(gx, xm, out=jac[:, 0])
+        np.multiply(gx, ym, out=jac[:, 1])
+        jac[:, 2] = gx
+        np.multiply(gy, xm, out=jac[:, 3])
+        np.multiply(gy, ym, out=jac[:, 4])
+        jac[:, 5] = gy
         hess = jac.T @ jac
         gw = jac.T @ iw
         gr = jac.T @ ir
@@ -398,11 +432,11 @@ def ecc_align(
             break
         pyramid.append((_halve(t), _halve(i)))
 
-    warp = (initial or AffineWarp.identity()).matrix.copy()
-    warp = _scale_translation(warp, 1.0 / (base_scale * 2 ** (len(pyramid) - 1)))
     if initial is None:
-        t, i = pyramid[-1]
-        warp = _best_integer_shift(t, i, warp, SHIFT_SEARCH_RADIUS)
+        dx, dy = _best_integer_shift(*pyramid[-1], SHIFT_SEARCH_RADIUS)
+        warp = AffineWarp.translation(dx, dy).matrix
+    else:
+        warp = _scale_translation(initial.matrix, 1.0 / (base_scale * 2 ** (len(pyramid) - 1)))
 
     correlation = -1.0
     for level in range(len(pyramid) - 1, -1, -1):

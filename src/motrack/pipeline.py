@@ -92,6 +92,9 @@ class FrameEvents:
     expirations: list[int] = field(default_factory=list)
     fills: list[FillEvent] = field(default_factory=list)
     alignment_fallback: bool = False
+    # ECC correlation of this frame's estimated warp; None when the warp
+    # was supplied, there was no image pair, or alignment fell back.
+    alignment_correlation: float | None = None
 
 
 @dataclass
@@ -157,12 +160,13 @@ class Tracker:
             self.store.motion_log.record(packet.frame, AffineWarp.identity())
             return AffineWarp.identity()
         try:
-            warp, _ = ecc_align(self.prev_image, packet.image, self.ecc_params)
+            warp, correlation = ecc_align(self.prev_image, packet.image, self.ecc_params)
         except EccError as exc:
             logger.warning("alignment failed at frame %d: %s", packet.frame, exc)
             self.store.motion_log.record_fallback(packet.frame)
             events.alignment_fallback = True
             return AffineWarp.identity()
+        events.alignment_correlation = correlation
         self.store.motion_log.record(packet.frame, warp)
         return warp
 

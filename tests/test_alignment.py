@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from motrack.alignment import (
+    BORDER_MARGIN,
+    MIN_ALIGN_DIM,
+    MIN_SUPPORT_PIXELS,
+    SHIFT_SEARCH_RADIUS,
     AffineWarp,
     CameraMotionLog,
     EccConvergenceError,
@@ -17,6 +22,9 @@ from motrack.alignment import (
     invert_warp,
     warp_box,
     warp_image,
+    _best_integer_shift,
+    _bilinear,
+    _shift_correlation,
 )
 from motrack.geometry import BoundingBox
 from motrack.pgm import GrayImage, read_pgm, write_pgm
@@ -239,6 +247,161 @@ def test_warp_image_translation_round_trip():
     est, corr = ecc_align(img, moved)
     assert corr > 0.98
     assert est.matrix[0, 2] == pytest.approx(6.0, abs=0.5)
+
+
+def test_ecc_params_reject_invalid_values():
+    for kwargs in (
+        {"max_iterations": 0},
+        {"epsilon": 0.0},
+        {"epsilon": -1e-5},
+        {"epsilon": math.nan},
+        {"epsilon": math.inf},
+        {"pyramid_levels": 0},
+        {"working_width": 0},
+    ):
+        with pytest.raises(ValueError, match="must be positive"):
+            EccParams(**kwargs)
+
+
+# --------------------------------------------------- integer-shift search oracle
+
+
+def reference_correlation(template, image, warp):
+    """Correlation of the template against the warped image over the
+    in-bounds support, sampled point by point with map_coordinates: the
+    shift search's formulation before it sliced rectangles."""
+    h, w = template.shape
+    m = BORDER_MARGIN
+    ys, xs = np.mgrid[m : h - m, m : w - m]
+    xs = xs.reshape(-1).astype(float)
+    ys = ys.reshape(-1).astype(float)
+    xw = warp[0, 0] * xs + warp[0, 1] * ys + warp[0, 2]
+    yw = warp[1, 0] * xs + warp[1, 1] * ys + warp[1, 2]
+    mask = (xw >= 0) & (xw <= w - 1) & (yw >= 0) & (yw <= h - 1)
+    if int(mask.sum()) < MIN_SUPPORT_PIXELS:
+        return -1.0
+    iw = ndimage.map_coordinates(
+        image, np.vstack([yw[mask], xw[mask]]), order=1, mode="nearest", output=float
+    )
+    ir = template[m : h - m, m : w - m].reshape(-1)[mask]
+    ir = ir - ir.mean()
+    iw = iw - iw.mean()
+    denom = np.linalg.norm(ir) * np.linalg.norm(iw)
+    if denom < 1e-12:
+        return -1.0
+    return float(ir @ iw / denom)
+
+
+def reference_best_shift(template, image, radius):
+    """Exhaustive search over integer translations of the identity warp,
+    first strict maximum in row-major (dy, dx) order wins."""
+    best = AffineWarp.identity().matrix
+    best_rho = reference_correlation(template, image, best)
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            if dx == 0 and dy == 0:
+                continue
+            shifted = AffineWarp.translation(dx, dy).matrix
+            rho = reference_correlation(template, image, shifted)
+            if rho > best_rho:
+                best_rho = rho
+                best = shifted
+    return best
+
+
+@st.composite
+def shift_search_inputs(draw):
+    """Template and image pairs: smooth or 8-bit noisy textures, the image
+    a shifted view of the template's texture or unrelated, sizes from
+    MIN_ALIGN_DIM (support below MIN_SUPPORT_PIXELS at every shift) up,
+    with optional flat patches or wholly flat frames."""
+    h = draw(st.integers(MIN_ALIGN_DIM, 24))
+    w = draw(st.integers(MIN_ALIGN_DIM, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = SHIFT_SEARCH_RADIUS
+    if draw(st.booleans()):
+        big = band_limited_texture(rng, h + 2 * r, w + 2 * r, smooth=draw(st.sampled_from([0.8, 2.5])))
+    else:
+        big = rng.integers(0, 256, (h + 2 * r, w + 2 * r)).astype(float)
+    template = big[r : r + h, r : r + w].copy()
+    if draw(st.booleans()):
+        oy, ox = rng.integers(0, 2 * r + 1, 2)
+        image = big[oy : oy + h, ox : ox + w].copy()
+    else:
+        image = rng.permutation(big.reshape(-1))[: h * w].reshape(h, w)
+    flat = draw(st.sampled_from(["none", "template", "image", "patch"]))
+    if flat == "template":
+        template[:] = 100.0
+    elif flat == "image":
+        image[:] = 100.0
+    elif flat == "patch":
+        ph, pw = draw(st.integers(1, h)), draw(st.integers(1, w))
+        image[:ph, :pw] = 100.0
+    return template, image
+
+
+@given(shift_search_inputs())
+@settings(max_examples=150, deadline=None)
+def test_sliced_shift_search_equals_map_coordinates_search(inputs):
+    template, image = inputs
+    r = SHIFT_SEARCH_RADIUS
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
+            expected = reference_correlation(template, image, AffineWarp.translation(dx, dy).matrix)
+            assert _shift_correlation(template, image, dx, dy) == expected, (dx, dy)
+    got = AffineWarp.translation(*_best_integer_shift(template, image, r)).matrix
+    assert np.array_equal(got, reference_best_shift(template, image, r))
+
+
+def test_shift_search_small_and_flat_supports_give_minus_one():
+    rng = np.random.default_rng(3)
+    # 8x8 leaves a 4x4 support inside the margin, below MIN_SUPPORT_PIXELS.
+    small = rng.random((MIN_ALIGN_DIM, MIN_ALIGN_DIM))
+    assert _shift_correlation(small, small, 0, 0) == -1.0
+    # 10x10 leaves exactly 6x6 = MIN_SUPPORT_PIXELS at zero shift only.
+    edge = rng.random((10, 10))
+    assert MIN_SUPPORT_PIXELS == 36
+    assert _shift_correlation(edge, edge, 0, 0) == pytest.approx(1.0)
+    assert _shift_correlation(edge, edge, 0, 3) == -1.0
+    flat = np.full((20, 20), 7.0)
+    assert _shift_correlation(flat, rng.random((20, 20)), 1, -2) == -1.0
+    assert _best_integer_shift(flat, flat, SHIFT_SEARCH_RADIUS) == (0, 0)
+
+
+# ------------------------------------------------------------ bilinear sampling
+
+
+@given(
+    st.integers(2, 20),
+    st.integers(2, 20),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_bilinear_equals_map_coordinates(h, w, seed):
+    rng = np.random.default_rng(seed)
+    images = [rng.uniform(0, 255, (h, w)) for _ in range(3)]
+    n = 40
+    xs = np.concatenate([
+        rng.uniform(0, w - 1, n),
+        rng.integers(0, w, n).astype(float),  # exact pixel centres
+        np.full(n, w - 1.0),  # last column
+        rng.uniform(0, w - 1, n),
+        [0.0, w - 1.0, 0.0, w - 1.0],
+    ])
+    ys = np.concatenate([
+        rng.uniform(0, h - 1, n),
+        rng.integers(0, h, n).astype(float),
+        rng.uniform(0, h - 1, n),
+        np.full(n, h - 1.0),  # last row
+        [0.0, 0.0, h - 1.0, h - 1.0],
+    ])
+    got = _bilinear(tuple(img.reshape(-1) for img in images), w, h, xs, ys)
+    assert len(got) == 3
+    for img, values in zip(images, got):
+        expected = ndimage.map_coordinates(
+            img, np.vstack([ys, xs]), order=1, mode="nearest", output=float
+        )
+        assert np.max(np.abs(values - expected)) <= 1e-12
 
 
 # ------------------------------------------------------------------------ pgm

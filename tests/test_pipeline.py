@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from motrack.alignment import AffineWarp
+from motrack.alignment import AffineWarp, ecc_align
 from motrack.config import TrackerConfig
 from motrack.geometry import BoundingBox, Detection
 from motrack.pipeline import FramePacket, Tracker
+from motrack.synth import textured_pair
 from motrack.tracks import FILL_CONFIDENCE, TrackStatus
 
 SIZE = (960.0, 540.0)
@@ -244,6 +245,27 @@ def test_supplied_warp_is_logged_and_applied():
     assert np.array_equal(tracker.store.motion_log.get(5).matrix, warp.matrix)
     tracks = tracker.finalize()
     assert len(tracks) == 1 and len(tracks[0].history) == 11
+
+
+def test_alignment_correlation_reported_only_for_estimated_warps(caplog):
+    prev, cur, _ = textured_pair(11)
+    flat = np.full(prev.shape, 128.0)
+    expected_warp, expected_corr = ecc_align(prev, cur)
+    tracker = Tracker(frame_size=SIZE)
+    frames = [
+        FramePacket(1, [], image=prev),  # no previous image
+        FramePacket(2, [], image=cur),  # estimated
+        FramePacket(3, [], image=prev, warp=AffineWarp.translation(1.0, 0.0)),  # supplied
+        FramePacket(4, []),  # no image
+        FramePacket(5, [], image=flat),
+        FramePacket(6, [], image=flat),  # featureless pair: falls back
+    ]
+    with caplog.at_level("WARNING", logger="motrack.pipeline"):
+        events = [tracker.step(p) for p in frames]
+    assert [e.alignment_correlation for e in events] == [None, expected_corr, None, None, None, None]
+    assert [e.alignment_fallback for e in events] == [False] * 5 + [True]
+    assert np.array_equal(tracker.store.motion_log.get(2).matrix, expected_warp.matrix)
+    assert expected_corr > 0.99
 
 
 def test_collapsing_warp_leaves_only_that_track_unwarped(caplog):
