@@ -24,10 +24,6 @@ import numpy as np
 from .config import TrackerConfig
 from .geometry import BoundingBox, boxes_to_array, iou_matrix, iou_pairs
 
-# Entry of GatedCost.dense() for pairs ruled out by gating or the IoU
-# cut. The assignment solver reads the sparse pairs, not this value.
-FORBIDDEN = 4e9
-
 
 @dataclass(frozen=True)
 class CellGrid:
@@ -211,11 +207,6 @@ class GatedCost:
     rows: np.ndarray
     cols: np.ndarray
     costs: np.ndarray
-
-    def dense(self) -> np.ndarray:
-        out = np.full((self.n_tracks, self.n_detections), FORBIDDEN)
-        out[self.rows, self.cols] = self.costs
-        return out
 
     def pair_count(self) -> int:
         return len(self.costs)

@@ -6,10 +6,16 @@ one velocity per box component, in pixels and pixels/frame. Process and
 measurement noise scale with the current box height so the filter adapts
 to object scale.
 
+The four box components follow the same model independently: transition,
+measurement, both noises and the initial covariance are all kron(., I4)
+over a (position, velocity) pair. So every covariance the filter makes is
+kron(C, I4) with C a symmetric 2x2, and a state carries only C's three
+terms (pp, pv, vv). The gain is (pp, pv) / (pp + r), with no solve.
+
 `predict_states` and `update_states` run the filter on the stacked
-(T, 8) means and (T, 8, 8) covariances of T tracks at once; the tracker
+(T, 8) means and (T, 3) covariance terms of T tracks at once; the tracker
 calls them once per frame. `km_predict`, `iml_predict` and `km_update`
-are the same filter for one state.
+run them on one state.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import AffineWarp, warp_box
+from .alignment import AffineWarp
 from .geometry import (
     BoundingBox,
     centers_to_corners,
@@ -28,7 +34,6 @@ from .geometry import (
     to_center_form,
 )
 
-STATE_DIM = 8
 MEAS_DIM = 4
 
 # Smallest width/height the filter will report; keeps boxes valid.
@@ -37,7 +42,7 @@ SIZE_FLOOR = 1e-3
 
 class DegenerateStateError(Exception):
     """Raised when a warp collapses a box to zero extent or an update runs
-    into a singular innovation covariance."""
+    into an innovation variance that is not positive."""
 
 
 @dataclass
@@ -59,11 +64,10 @@ class MotionParams:
     init_pos_factor: float = 10.0
     init_vel_factor: float = 1000.0
 
-    def process_variances(self, heights) -> np.ndarray:
-        """Diagonal of the process noise: (8,) for one box height, (T, 8)
-        for a (T,) array of them."""
-        sp, sv = self.std_pos, self.std_vel
-        return np.multiply.outer(heights, np.array([sp, sp, sp, sp, sv, sv, sv, sv])) ** 2
+    def process_variances(self, heights):
+        """Process noise variances (position, velocity) per box height;
+        scalars for a scalar height, (T,) arrays for a (T,) array."""
+        return (self.std_pos * heights) ** 2, (self.std_vel * heights) ** 2
 
     def measurement_variances(self, heights):
         """Variance of each box component's measurement noise (the four
@@ -74,34 +78,28 @@ class MotionParams:
 
 @dataclass
 class KalmanState:
-    """Filter mean (8,) and covariance (8, 8)."""
+    """Filter mean (8,) and covariance terms (3,): the pp, pv and vv of
+    the symmetric 2x2 C whose kron(C, I4) is the covariance."""
 
     mean: np.ndarray
-    cov: np.ndarray
+    cov_terms: np.ndarray
+
+    @property
+    def cov(self) -> np.ndarray:
+        """The (8, 8) covariance kron(C, I4), built on every read."""
+        pp, pv, vv = self.cov_terms
+        return np.kron(np.array([[pp, pv], [pv, vv]]), np.eye(MEAS_DIM))
 
     def box(self) -> BoundingBox:
         cx, cy, w, h = self.mean[:MEAS_DIM]
         return from_center_form(cx, cy, w, h)
 
-    def velocity(self) -> np.ndarray:
-        return self.mean[MEAS_DIM:].copy()
-
     def copy(self) -> "KalmanState":
-        return KalmanState(self.mean.copy(), self.cov.copy())
-
-
-def _symmetrize(covs: np.ndarray) -> np.ndarray:
-    return 0.5 * (covs + np.swapaxes(covs, -1, -2))
+        return KalmanState(self.mean.copy(), self.cov_terms.copy())
 
 
 def _floor_sizes(means: np.ndarray) -> None:
     np.maximum(means[:, 2:MEAS_DIM], SIZE_FLOOR, out=means[:, 2:MEAS_DIM])
-
-
-def _diagonal(matrices: np.ndarray) -> np.ndarray:
-    """Writable view of the diagonals of contiguous (T, n, n) matrices."""
-    n = matrices.shape[-1]
-    return matrices.reshape(len(matrices), n * n)[:, :: n + 1]
 
 
 def km_init(box: BoundingBox, params: MotionParams) -> KalmanState:
@@ -110,8 +108,7 @@ def km_init(box: BoundingBox, params: MotionParams) -> KalmanState:
     mean = np.array([cx, cy, w, h, 0.0, 0.0, 0.0, 0.0])
     sp = params.init_pos_factor * params.std_pos * h
     sv = params.init_vel_factor * params.std_vel * h
-    std = np.array([sp, sp, sp, sp, sv, sv, sv, sv])
-    return KalmanState(mean, np.diag(std**2))
+    return KalmanState(mean, np.array([sp * sp, 0.0, sv * sv]))
 
 
 def _warp_boxes(warp: AffineWarp, means: np.ndarray) -> np.ndarray:
@@ -135,120 +132,93 @@ def _warp_boxes(warp: AffineWarp, means: np.ndarray) -> np.ndarray:
 
 def predict_states(
     means: np.ndarray,
-    covs: np.ndarray,
+    cov_terms: np.ndarray,
     warp: AffineWarp | None,
     params: MotionParams,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Warp-fused constant-velocity prediction of T states at once.
 
-    means (T, 8) and covs (T, 8, 8) are left untouched. Each row steps
-    mean <- F mean and cov <- F cov F^T + Q, with Q scaled by that row's
-    prior height. Unless `warp` is None or the identity, the box part
-    then goes through it (see `_warp_boxes`). Sizes are floored before
-    and after the warp. Returns the predicted means and covariances and
-    the (T,) mask of rows whose box the warp collapsed; those rows keep
-    the unwarped prediction.
+    means (T, 8) and cov_terms (T, 3) are left untouched. Each row adds
+    its velocities to its box and steps C <- A C A^T + diag(q_p, q_v),
+    with A = [[1, 1], [0, 1]] and q scaled by that row's prior height.
+    Unless `warp` is None or the identity, the box part then goes through
+    it (see `_warp_boxes`); the covariance does not see the warp. Sizes
+    are floored before and after the warp. Returns the predicted means
+    and covariance terms and the (T,) mask of rows whose box the warp
+    collapsed; those rows keep the unwarped prediction.
     """
-    # F adds each velocity to its box component: F @ mean, and F cov F^T
-    # as the same row sums followed by the same column sums.
     predicted = means.copy()
     predicted[:, :MEAS_DIM] += means[:, MEAS_DIM:]
     _floor_sizes(predicted)
-    cov = covs.copy()
-    cov[:, :MEAS_DIM] += cov[:, MEAS_DIM:]
-    cov[:, :, :MEAS_DIM] += cov[:, :, MEAS_DIM:]
-    _diagonal(cov)[...] += params.process_variances(means[:, 3])
+    pp, pv, vv = cov_terms.T
+    q_pos, q_vel = params.process_variances(means[:, 3])
+    terms = np.empty_like(cov_terms)
+    terms[:, 1] = pv + vv
+    # pp + 2 pv + vv, added in the order of F P F^T's row sums then its
+    # column sums, so the terms equal the 8x8 product's exactly.
+    terms[:, 0] = (pp + pv) + terms[:, 1] + q_pos
+    terms[:, 2] = vv + q_vel
     if warp is None or warp.is_identity():
         collapsed = np.zeros(len(means), dtype=bool)
     else:
         collapsed = _warp_boxes(warp, predicted)
         _floor_sizes(predicted)
-    return predicted, _symmetrize(cov), collapsed
+    return predicted, terms, collapsed
 
 
 def update_states(
-    means: np.ndarray, covs: np.ndarray, observations: np.ndarray, params: MotionParams
+    means: np.ndarray, cov_terms: np.ndarray, observations: np.ndarray, params: MotionParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kalman correction of T states against (T, 4) corner-form boxes.
 
-    The measurement selects the box part of the state, so H P is the top
-    four rows of P and S = P[:4, :4] + R. One batched 4x4 solve gives the
-    gains. Raises DegenerateStateError if any innovation covariance is
-    singular.
+    The measurement selects the box part of the state, so each row's
+    innovation variance is pp + r and its gain is (pp, pv) / (pp + r),
+    shared by the four box components. Raises DegenerateStateError if any
+    innovation variance is not positive.
     """
-    top = covs[:, :MEAS_DIM, :]
-    s = top[:, :, :MEAS_DIM].copy()
-    _diagonal(s)[...] += params.measurement_variances(means[:, 3])[:, None]
-    try:
-        gain_t = np.linalg.solve(s, top)  # K^T, (T, 4, 8)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateStateError("singular innovation covariance") from exc
+    s = cov_terms[:, 0] + params.measurement_variances(means[:, 3])
+    if not (s > 0.0).all():
+        raise DegenerateStateError("innovation variance is not positive")
+    gain = cov_terms[:, :2] / s[:, None]  # (k_pos, k_vel) = (pp, pv) / s
     innovation = corners_to_centers(observations) - means[:, :MEAS_DIM]
-    updated = means + (innovation[:, None, :] @ gain_t)[:, 0]
+    # Row-wise kron(gain, innovation): the box moves by k_pos, the
+    # velocity by k_vel times the innovation.
+    updated = means + (gain[:, :, None] * innovation[:, None, :]).reshape(means.shape)
     _floor_sizes(updated)
-    return updated, _symmetrize(covs - gain_t.transpose(0, 2, 1) @ top)
-
-
-# The single-state functions below are the textbook matrix form of the
-# same filter. The gap filler runs them one state at a time, where they
-# are cheaper than the batched code above with T = 1, and the tests hold
-# the batched code to them row by row.
-_F = np.eye(STATE_DIM)
-_F[:MEAS_DIM, MEAS_DIM:] = np.eye(MEAS_DIM)
-_H = np.eye(MEAS_DIM, STATE_DIM)
-
-
-def _floor_size(mean: np.ndarray) -> np.ndarray:
-    mean[2] = max(mean[2], SIZE_FLOOR)
-    mean[3] = max(mean[3], SIZE_FLOOR)
-    return mean
+    # C - k (pp, pv)^T: (pp - k_pos pp, pv - k_pos pv, vv - k_vel pv).
+    return updated, cov_terms - gain[:, [0, 0, 1]] * cov_terms[:, [0, 1, 1]]
 
 
 def km_predict(state: KalmanState, params: MotionParams) -> KalmanState:
-    """One constant-velocity step: mean <- F mean, cov <- F cov F^T + Q."""
-    mean = _floor_size(_F @ state.mean)
-    q = np.diag(params.process_variances(state.mean[3]))
-    return KalmanState(mean, _symmetrize(_F @ state.cov @ _F.T + q))
+    """`predict_states` of one state, with no warp."""
+    means, terms, _ = predict_states(state.mean[None], state.cov_terms[None], None, params)
+    return KalmanState(means[0], terms[0])
 
 
 def km_update(
     state: KalmanState, observation: BoundingBox, params: MotionParams
 ) -> KalmanState:
-    """Standard Kalman correction against a center-form box observation."""
-    z = np.array(to_center_form(observation))
-    r = np.eye(MEAS_DIM) * params.measurement_variances(state.mean[3])
-    innovation = z - _H @ state.mean
-    s = _H @ state.cov @ _H.T + r
-    try:
-        gain = np.linalg.solve(s, _H @ state.cov).T
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateStateError("singular innovation covariance") from exc
-    mean = _floor_size(state.mean + gain @ innovation)
-    cov = (np.eye(STATE_DIM) - gain @ _H) @ state.cov
-    return KalmanState(mean, _symmetrize(cov))
+    """`update_states` of one state against a corner-form box."""
+    means, terms = update_states(
+        state.mean[None], state.cov_terms[None], observation.as_array()[None], params
+    )
+    return KalmanState(means[0], terms[0])
 
 
 def iml_predict(
     state: KalmanState, warp: AffineWarp, params: MotionParams
 ) -> KalmanState:
-    """Constant-velocity prediction with the box part re-localized through
-    the inter-frame camera warp.
+    """`predict_states` of one state through the inter-frame camera warp.
 
-    The warp touches only the box components of the mean; velocities and
-    the covariance update are exactly those of km_predict. Sizes are
-    floored after the warp. Raises DegenerateStateError only if the warp
-    collapses the box to zero extent.
+    Raises DegenerateStateError if the warp collapses the box to zero
+    extent.
     """
-    predicted = km_predict(state, params)
-    if warp.is_identity():
-        return predicted
-    try:
-        warped = warp_box(warp, predicted.box())
-    except ValueError as exc:
-        raise DegenerateStateError(str(exc)) from exc
-    predicted.mean[:MEAS_DIM] = to_center_form(warped)
-    _floor_size(predicted.mean)
-    return predicted
+    means, terms, collapsed = predict_states(
+        state.mean[None], state.cov_terms[None], warp, params
+    )
+    if collapsed[0]:
+        raise DegenerateStateError("warp collapsed the box to zero extent")
+    return KalmanState(means[0], terms[0])
 
 
 def velocity_norm(state: KalmanState, image_diagonal: float) -> float:

@@ -36,7 +36,6 @@ from .assignment import km_solve
 from .geometry import BoundingBox, Detection, boxes_to_array, centers_to_corners
 from .kalman import (
     MEAS_DIM,
-    STATE_DIM,
     KalmanState,
     MotionParams,
     km_init,
@@ -119,9 +118,6 @@ class TrackStore:
     def non_finished(self) -> list[TrackRecord]:
         return [t for t in self.tracks.values() if t.status is not TrackStatus.FINISHED]
 
-    def by_status(self, status: TrackStatus) -> list[TrackRecord]:
-        return [t for t in self.tracks.values() if t.status is status]
-
 
 class Tracker:
     """Stateful engine: feed FramePackets in order, then finalize."""
@@ -201,9 +197,9 @@ class Tracker:
         # its detection this frame, its posterior anchors the future fill.
         live = self.store.non_finished()
         posteriors = [t.state for t in live]
-        means, covs, collapsed = predict_states(
-            np.array([s.mean for s in posteriors]).reshape(-1, STATE_DIM),
-            np.array([s.cov for s in posteriors]).reshape(-1, STATE_DIM, STATE_DIM),
+        means, cov_terms, collapsed = predict_states(
+            np.array([s.mean for s in posteriors]).reshape(-1, 2 * MEAS_DIM),
+            np.array([s.cov_terms for s in posteriors]).reshape(-1, 3),
             warp,
             params,
         )
@@ -213,8 +209,8 @@ class Tracker:
                 live[row].track_id,
                 frame,
             )
-        for track, mean, cov in zip(live, means, covs):
-            track.state = KalmanState(mean, cov)
+        for track, mean, terms in zip(live, means, cov_terms):
+            track.state = KalmanState(mean, terms)
         predictions = [
             BoundingBox(*box) for box in centers_to_corners(means[:, :MEAS_DIM]).tolist()
         ]
@@ -267,9 +263,9 @@ class Tracker:
         if assignment.pairs:
             rows = [row for row, _ in assignment.pairs]
             observed = boxes_to_array([detections[col].box for _, col in assignment.pairs])
-            means, covs = update_states(means[rows], covs[rows], observed, params)
-            for row, mean, cov in zip(rows, means, covs):
-                live[row].state = KalmanState(mean, cov)
+            means, cov_terms = update_states(means[rows], cov_terms[rows], observed, params)
+            for row, mean, terms in zip(rows, means, cov_terms):
+                live[row].state = KalmanState(mean, terms)
 
         for row in assignment.unmatched_tracks:
             track = live[row]

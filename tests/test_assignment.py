@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from motrack.assignment import Assignment, km_solve
-from motrack.gating import FORBIDDEN, GatedCost
+from motrack.gating import GatedCost
+
+# Dense-matrix entry of a pair the cost rules out.
+FORBIDDEN = 4e9
+
+
+def dense(cost: GatedCost) -> np.ndarray:
+    out = np.full((cost.n_tracks, cost.n_detections), FORBIDDEN)
+    out[cost.rows, cost.cols] = cost.costs
+    return out
 
 
 def from_dense(mat) -> GatedCost:
@@ -25,8 +34,8 @@ def random_cost(rng) -> GatedCost:
 
 def assignment_total(cost: GatedCost, assignment: Assignment) -> float:
     """Total cost over the matched pairs (0 for an empty matching)."""
-    dense = cost.dense()
-    return float(sum(dense[r, c] for r, c in assignment.pairs))
+    mat = dense(cost)
+    return float(sum(mat[r, c] for r, c in assignment.pairs))
 
 
 def brute_force_solve(cost: GatedCost) -> tuple[float, int]:

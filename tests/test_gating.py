@@ -3,7 +3,6 @@ import pytest
 
 from motrack.config import TrackerConfig
 from motrack.gating import (
-    FORBIDDEN,
     CellGrid,
     EncodingMaps,
     build_integral,
@@ -17,6 +16,15 @@ from motrack.geometry import BoundingBox, boxes_to_array, iou
 
 CFG = TrackerConfig()
 GRID = CellGrid(CFG.grid_m, CFG.grid_n, 1920.0, 1080.0)
+
+# Dense-matrix entry of a pair the cost rules out.
+FORBIDDEN = 4e9
+
+
+def dense(cost) -> np.ndarray:
+    out = np.full((cost.n_tracks, cost.n_detections), FORBIDDEN)
+    out[cost.rows, cost.cols] = cost.costs
+    return out
 
 
 def random_box(rng, width=1920.0, height=1080.0, spread=1.0):
@@ -275,9 +283,9 @@ def test_cost_values_are_one_minus_iou():
 def test_dense_uses_forbidden_sentinel():
     tracks = [BoundingBox(0, 0, 50, 50)]
     dets = [BoundingBox(1000, 1000, 1050, 1050)]
-    dense = gated_cost(tracks, dets, GRID, CFG).dense()
-    assert dense.shape == (1, 1)
-    assert dense[0, 0] == FORBIDDEN
+    mat = dense(gated_cost(tracks, dets, GRID, CFG))
+    assert mat.shape == (1, 1)
+    assert mat[0, 0] == FORBIDDEN
 
 
 def test_empty_inputs():

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_kalman
+from dense_kalman import kron_cov
 from motrack.alignment import AffineWarp
 from motrack.geometry import BoundingBox, from_center_form
 from motrack.kalman import (
     MEAS_DIM,
     SIZE_FLOOR,
-    STATE_DIM,
     DegenerateStateError,
     KalmanState,
     MotionParams,
@@ -37,6 +38,13 @@ def random_state(rng, speed=8.0):
     return state
 
 
+def random_psd_terms(rng, low, high) -> np.ndarray:
+    """Covariance terms (pp, pv, vv) of a random PSD 2x2 C = A A^T."""
+    a = rng.uniform(low, high, (2, 2))
+    c = a @ a.T
+    return np.array([c[0, 0], c[0, 1], c[1, 1]])
+
+
 def test_init_zero_velocity_mean():
     state = km_init(BoundingBox(0, 0, 10, 20), PARAMS)
     assert state.mean.tolist() == [5, 10, 10, 20, 0, 0, 0, 0]
@@ -53,7 +61,7 @@ def test_init_deterministic():
 def test_predict_moves_by_velocity():
     state = KalmanState(
         np.array([10.0, 5.0, 4.0, 8.0, 1.0, 0.0, 0.0, 0.0]),
-        np.eye(STATE_DIM),
+        np.array([1.0, 0.0, 1.0]),  # identity covariance
     )
     out = km_predict(state, PARAMS)
     assert out.mean[0] == pytest.approx(11.0)
@@ -71,8 +79,7 @@ def test_predict_grows_uncertainty():
     rng = np.random.default_rng(2)
     for _ in range(50):
         state = random_state(rng)
-        a = np.random.default_rng(0).uniform(0.1, 2.0, (STATE_DIM, STATE_DIM))
-        state.cov = a @ a.T  # random PSD
+        state.cov_terms = random_psd_terms(rng, 0.1, 2.0)
         out = km_predict(state, PARAMS)
         assert np.trace(out.cov) >= np.trace(state.cov) - 1e-9
 
@@ -123,7 +130,7 @@ def test_size_floor_under_shrinking_velocity():
 
 def test_update_singular_innovation_raises():
     state = km_init(BoundingBox(0, 0, 10, 20), PARAMS)
-    state.cov = np.zeros((STATE_DIM, STATE_DIM))
+    state.cov_terms = np.zeros(3)
     params = dataclasses.replace(PARAMS, std_meas=0.0)
     with pytest.raises(DegenerateStateError):
         km_update(state, BoundingBox(0, 0, 10, 20), params)
@@ -209,12 +216,12 @@ def test_state_copy_is_deep():
     state = km_init(BoundingBox(0, 0, 10, 20), PARAMS)
     dup = state.copy()
     dup.mean[0] = 99.0
-    dup.cov[0, 0] = 99.0
+    dup.cov_terms[0] = 99.0
     assert state.mean[0] == 5.0
-    assert state.cov[0, 0] != 99.0
+    assert state.cov_terms[0] != 99.0
 
 
-# -------------------------------------------------- batched filter invariance
+# ------------------------------------------------------ dense filter oracle
 
 WARPS = {
     "identity": AffineWarp.identity(),
@@ -239,8 +246,7 @@ def states(draw):
     state = km_init(BoundingBox(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h), PARAMS)
     state.mean[:MEAS_DIM] = (cx, cy, w, h)
     state.mean[MEAS_DIM:] = velocity
-    a = np.random.default_rng(seed).uniform(-1.0, 1.0, (STATE_DIM, STATE_DIM))
-    state.cov = state.cov + a @ a.T
+    state.cov_terms = state.cov_terms + random_psd_terms(np.random.default_rng(seed), -1.0, 1.0)
     obs = from_center_form(
         cx + draw(st.floats(-10.0, 10.0)),
         cy + draw(st.floats(-10.0, 10.0)),
@@ -257,28 +263,34 @@ def assert_rows_close(batch, single):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(states(), min_size=1, max_size=6), st.sampled_from(sorted(WARPS)))
-def test_batched_filter_equals_single_track_rows(drawn, warp_name):
+def test_filter_equals_dense_oracle(drawn, warp_name):
+    """Each row of the structured filter equals the textbook 8x8 filter
+    run on kron(C, I4), and the collapse mask marks exactly the rows
+    whose box the dense warp step rejects."""
     warp = WARPS[warp_name]
     means = np.stack([s.mean for s, _ in drawn])
-    covs = np.stack([s.cov for s, _ in drawn])
-    pred_means, pred_covs, collapsed = predict_states(means, covs, warp, PARAMS)
+    terms = np.stack([s.cov_terms for s, _ in drawn])
+    pred_means, pred_terms, collapsed = predict_states(means, terms, warp, PARAMS)
     # Inputs are left untouched.
     assert np.array_equal(means, np.stack([s.mean for s, _ in drawn]))
+    assert np.array_equal(terms, np.stack([s.cov_terms for s, _ in drawn]))
 
     for i, (state, _) in enumerate(drawn):
         try:
-            single = iml_predict(state, warp, PARAMS)
+            mean, cov = dense_kalman.warp_predict(
+                state.mean, kron_cov(state.cov_terms), warp, PARAMS
+            )
         except DegenerateStateError:
             assert collapsed[i]
-            single = km_predict(state, PARAMS)
+            mean, cov = dense_kalman.predict(state.mean, kron_cov(state.cov_terms), PARAMS)
         else:
             assert not collapsed[i]
-        assert_rows_close(pred_means[i], single.mean)
-        assert_rows_close(pred_covs[i], single.cov)
+        assert_rows_close(pred_means[i], mean)
+        assert_rows_close(kron_cov(pred_terms[i]), cov)
 
     observed = np.stack([obs.as_array() for _, obs in drawn])
-    upd_means, upd_covs = update_states(pred_means, pred_covs, observed, PARAMS)
+    upd_means, upd_terms = update_states(pred_means, pred_terms, observed, PARAMS)
     for i, (_, obs) in enumerate(drawn):
-        single = km_update(KalmanState(pred_means[i], pred_covs[i]), obs, PARAMS)
-        assert_rows_close(upd_means[i], single.mean)
-        assert_rows_close(upd_covs[i], single.cov)
+        mean, cov = dense_kalman.update(pred_means[i], kron_cov(pred_terms[i]), obs, PARAMS)
+        assert_rows_close(upd_means[i], mean)
+        assert_rows_close(kron_cov(upd_terms[i]), cov)

@@ -235,3 +235,43 @@ def test_camera_shift_is_removed_from_the_fill():
     for f, box in frag.items():
         cx, _, _, _ = to_center_form(box)
         assert cx == pytest.approx(700.0 + shift * (f - 10), abs=0.75)
+
+
+def test_collapsing_warp_resets_both_fill_passes(caplog):
+    # A target moving along the image diagonal keeps x and y bit-for-bit
+    # equal, so the involution (x, y) -> (x - y, -y) flattens its box to
+    # zero width: the forward pass meets it at frame 15 and the backward
+    # pass, stepping through its inverse (the same warp), at frame 14.
+    params = MotionParams()
+
+    def box_at(frame):
+        low = 100.0 + 3.0 * frame
+        return BoundingBox(low, low, low + 40.0, low + 40.0)
+
+    state = km_init(box_at(0), params)
+    for f in range(1, 11):
+        state = km_predict(state, params)
+        state = km_update(state, box_at(f), params)
+    flip = AffineWarp(np.array([[1.0, -1.0, 0.0], [0.0, -1.0, 0.0]]))
+    req = FillRequest(
+        track_id=1,
+        frame_a=10,
+        frame_b=20,
+        box_a=box_at(10),
+        box_b=box_at(20),
+        state_a=state,
+        post_b_tracklet=[box_at(20 + i) for i in range(3)],
+        warps={15: flip},
+    )
+    with caplog.at_level("WARNING", logger="motrack.reconnect"):
+        frag = fill_fragment(req, params)
+    messages = [r.getMessage() for r in caplog.records]
+    assert "forward fill pass reset at frame 15" in messages
+    assert "backward fill pass reset at frame 14" in messages
+
+    assert sorted(frag) == list(req.missing_frames())
+    assert all(math.isfinite(v) for box in frag.values() for v in box.as_array())
+    # The backward pass restarts from the linear box at its reset frame.
+    ca, cb = to_center_form(req.box_a), to_center_form(req.box_b)
+    want = [a + 0.4 * (b - a) for a, b in zip(ca, cb)]
+    assert to_center_form(frag[14]) == pytest.approx(want, abs=1e-9)
