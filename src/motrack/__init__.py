@@ -12,6 +12,7 @@ from .alignment import (
     CameraMotionLog,
     EccError,
     EccParams,
+    EccWorkspace,
     camera_intensity,
     compose_warps,
     ecc_align,
@@ -88,6 +89,7 @@ __all__ = [
     "Detection",
     "EccError",
     "EccParams",
+    "EccWorkspace",
     "EncodingMaps",
     "EvalReport",
     "FillRequest",

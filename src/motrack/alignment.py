@@ -247,8 +247,26 @@ def _best_integer_shift(template: np.ndarray, image: np.ndarray, radius: int) ->
     return best
 
 
+class _SampleBuffers:
+    """Point-sized buffers `_bilinear` writes into, for up to `size`
+    points: the cell indices, the four corner weights, one sample array
+    per image, and one product temporary."""
+
+    def __init__(self, size: int) -> None:
+        self.x0 = np.empty(size, dtype=np.intp)
+        self.index = np.empty(size, dtype=np.intp)
+        self.weights = np.empty((4, size))
+        self.samples = np.empty((3, size))
+        self.product = np.empty(size)
+
+
 def _bilinear(
-    flats: tuple[np.ndarray, ...], width: int, height: int, xs: np.ndarray, ys: np.ndarray
+    flats: tuple[np.ndarray, ...],
+    width: int,
+    height: int,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    buf: _SampleBuffers,
 ) -> list[np.ndarray]:
     """Bilinear samples of each flattened (height, width) image at the
     points (xs, ys), all inside the closed [0, width-1] x [0, height-1].
@@ -256,33 +274,90 @@ def _bilinear(
     Equal, up to rounding, to order-1 `ndimage.map_coordinates` with
     mode="nearest": clamping the cell corner to width-2 (height-2) puts a
     point on the last column (row) at weight 1 on that column. Indices
-    and weights are computed once for all images.
+    and weights are computed once for all images. Every intermediate is
+    written into `buf`, and the samples returned are views of its first
+    len(xs) entries, valid until the next call with the same buffers.
     """
-    # Points are non-negative, so truncation is the floor. In-place
-    # arithmetic keeps the number of point-sized temporaries down.
-    x0 = xs.astype(np.intp)
+    n = xs.size
+    x0 = buf.x0[:n]
+    i00 = buf.index[:n]
+    w00, w01, w10, w11 = buf.weights[:, :n]
+    product = buf.product[:n]
+    # Points are non-negative, so truncation is the floor.
+    np.copyto(x0, xs, casting="unsafe")
     np.minimum(x0, width - 2, out=x0)
-    i00 = ys.astype(np.intp)
+    np.copyto(i00, ys, casting="unsafe")
     np.minimum(i00, height - 2, out=i00)
-    w01 = xs - x0
-    w10 = ys - i00
+    np.subtract(xs, x0, out=w01)
+    np.subtract(ys, i00, out=w10)
     i00 *= width
     i00 += x0
-    del x0
-    w11 = w01 * w10
+    np.multiply(w01, w10, out=w11)
     w01 -= w11
     w10 -= w11
-    w00 = 1.0 - w01
+    np.subtract(1.0, w01, out=w00)
     w00 -= w10
     w00 -= w11
     out = []
-    for flat in flats:
-        value = flat.take(i00)
+    for flat, value in zip(flats, buf.samples[:, :n]):
+        # With out=, mode="raise" copies through a temporary; the indices
+        # are in range by construction, so "clip" never alters one.
+        flat.take(i00, out=value, mode="clip")
         value *= w00
         for offset, weight in ((1, w01), (width, w10), (width + 1, w11)):
-            value += flat[offset:].take(i00) * weight
+            flat[offset:].take(i00, out=product, mode="clip")
+            product *= weight
+            value += product
         out.append(value)
     return out
+
+
+class _LevelWorkspace:
+    """Buffers for one pyramid level of shape (h, w), sized for its
+    whole support: the support grid, the warped coordinates with their
+    in-image tests, the selected points of a pass, the bilinear samples
+    and the (N, 6) Jacobian. A pass uses the first n entries, n being
+    the number of support points whose warp lands inside the image."""
+
+    def __init__(self, shape: tuple[int, int]) -> None:
+        self.shape = shape
+        h, w = shape
+        ys, xs = np.mgrid[BORDER_MARGIN : h - BORDER_MARGIN, BORDER_MARGIN : w - BORDER_MARGIN]
+        self.xs = xs.reshape(-1).astype(float)
+        self.ys = ys.reshape(-1).astype(float)
+        size = self.xs.size
+        self.template = np.empty(size)
+        self.xw = np.empty(size)
+        self.yw = np.empty(size)
+        self.inside = np.empty(size, dtype=bool)
+        self.test = np.empty(size, dtype=bool)
+        # Per-pass scratch: a product while the grid is warped, then the
+        # selected warped points for the gather, then the selected grid
+        # points for the Jacobian.
+        self.px = np.empty(size)
+        self.py = np.empty(size)
+        self.ir = np.empty(size)
+        self.jac = np.empty((size, 6))
+        self.sampling = _SampleBuffers(size)
+
+
+class EccWorkspace:
+    """Scratch memory for `ecc_align`, one `_LevelWorkspace` per pyramid
+    level, reused by every Gauss-Newton pass and by every call whose
+    frames give the same level shapes. A call with other shapes rebuilds
+    it, so it holds buffers for one frame size at a time.
+
+    Not safe to share between threads: each `Tracker` owns one.
+    """
+
+    def __init__(self) -> None:
+        self._levels: list[_LevelWorkspace] = []
+
+    def levels(self, shapes: list[tuple[int, int]]) -> list[_LevelWorkspace]:
+        if [level.shape for level in self._levels] != shapes:
+            self._levels = []  # let the old buffers go before allocating
+            self._levels = [_LevelWorkspace(shape) for shape in shapes]
+        return self._levels
 
 
 def _align_level(
@@ -292,6 +367,7 @@ def _align_level(
     params: EccParams,
     strict: bool,
     trace: list | None,
+    ws: _LevelWorkspace,
 ) -> tuple[np.ndarray, float]:
     """Run Gauss-Newton ECC at one pyramid level.
 
@@ -299,11 +375,12 @@ def _align_level(
     their best estimate down instead. Returns (warp, correlation).
     """
     h, w = template.shape
-    ys, xs = np.mgrid[BORDER_MARGIN : h - BORDER_MARGIN, BORDER_MARGIN : w - BORDER_MARGIN]
-    xs = xs.reshape(-1).astype(float)
-    ys = ys.reshape(-1).astype(float)
-    template_flat = template[BORDER_MARGIN : h - BORDER_MARGIN, BORDER_MARGIN : w - BORDER_MARGIN]
-    template_flat = template_flat.reshape(-1)
+    xs, ys, xw, yw, inside, test = ws.xs, ws.ys, ws.xw, ws.yw, ws.inside, ws.test
+    template_flat = ws.template
+    np.copyto(
+        template_flat.reshape(h - 2 * BORDER_MARGIN, w - 2 * BORDER_MARGIN),
+        template[BORDER_MARGIN : h - BORDER_MARGIN, BORDER_MARGIN : w - BORDER_MARGIN],
+    )
 
     grad_y, grad_x = np.gradient(image)
     flats = (image.reshape(-1), grad_x.reshape(-1), grad_y.reshape(-1))
@@ -313,21 +390,33 @@ def _align_level(
     converged = False
 
     for _ in range(params.max_iterations):
-        xw = warp[0, 0] * xs + warp[0, 1] * ys + warp[0, 2]
-        yw = warp[1, 0] * xs + warp[1, 1] * ys + warp[1, 2]
-        mask = (xw >= 0) & (xw <= w - 1) & (yw >= 0) & (yw <= h - 1)
-        if int(mask.sum()) < MIN_SUPPORT_PIXELS:
+        np.multiply(xs, warp[0, 0], out=xw)
+        xw += np.multiply(ys, warp[0, 1], out=ws.px)
+        xw += warp[0, 2]
+        np.multiply(xs, warp[1, 0], out=yw)
+        yw += np.multiply(ys, warp[1, 1], out=ws.px)
+        yw += warp[1, 2]
+        np.greater_equal(xw, 0, out=inside)
+        inside &= np.less_equal(xw, w - 1, out=test)
+        inside &= np.greater_equal(yw, 0, out=test)
+        inside &= np.less_equal(yw, h - 1, out=test)
+        sel = np.flatnonzero(inside)
+        n = sel.size
+        if n < MIN_SUPPORT_PIXELS:
             if strict:
                 raise EccSingularError("warped support left the image")
             return best_warp, max(rho_prev, -1.0)
+        px, py = ws.px[:n], ws.py[:n]
 
         # After a converged step this pass only measures the correlation,
         # so the gradients are not sampled.
-        iw, *grads = _bilinear(flats[:1] if converged else flats, w, h, xw[mask], yw[mask])
+        xw.take(sel, out=px, mode="clip")
+        yw.take(sel, out=py, mode="clip")
+        iw, *grads = _bilinear(flats[:1] if converged else flats, w, h, px, py, ws.sampling)
 
-        ir = template_flat[mask]
-        ir = ir - ir.mean()
-        iw = iw - iw.mean()
+        ir = template_flat.take(sel, out=ws.ir[:n], mode="clip")
+        ir -= ir.mean()
+        iw -= iw.mean()
         norm_ir = np.linalg.norm(ir)
         norm_iw = np.linalg.norm(iw)
         if norm_ir < 1e-12 or norm_iw < 1e-12:
@@ -350,8 +439,9 @@ def _align_level(
         # Jacobian columns follow the row-major parameter order
         # [a11, a12, tx, a21, a22, ty].
         gx, gy = grads
-        xm, ym = xs[mask], ys[mask]
-        jac = np.empty((xm.size, 6))
+        xm = xs.take(sel, out=px, mode="clip")
+        ym = ys.take(sel, out=py, mode="clip")
+        jac = ws.jac[:n]
         np.multiply(gx, xm, out=jac[:, 0])
         np.multiply(gx, ym, out=jac[:, 1])
         jac[:, 2] = gx
@@ -398,6 +488,8 @@ def ecc_align(
     params: EccParams | None = None,
     initial: AffineWarp | None = None,
     trace: list | None = None,
+    *,
+    workspace: EccWorkspace | None = None,
 ) -> tuple[AffineWarp, float]:
     """Estimate the affine warp taking `prev` coordinates to `cur`.
 
@@ -405,7 +497,10 @@ def ecc_align(
     warped `cur`, coarse to fine. Images wider than params.working_width
     are pre-shrunk (the returned warp is expressed at full resolution).
     When `trace` is a list it receives the per-iteration correlation of
-    every accepted step at the finest level.
+    every accepted step at the finest level. `workspace` holds the
+    scratch buffers; pass the same one for consecutive frames (as
+    `Tracker` does) so the buffers are reused, or leave it None for
+    buffers that live for this call only.
 
     Raises EccError on non-convergence, singular normal equations, or a
     final warp outside the determinant sanity bounds; callers fall back
@@ -438,11 +533,19 @@ def ecc_align(
     else:
         warp = _scale_translation(initial.matrix, 1.0 / (base_scale * 2 ** (len(pyramid) - 1)))
 
+    workspace = workspace or EccWorkspace()
+    buffers = workspace.levels([t.shape for t, _ in pyramid])
     correlation = -1.0
     for level in range(len(pyramid) - 1, -1, -1):
         t, i = pyramid[level]
         warp, correlation = _align_level(
-            t, i, warp, params, strict=(level == 0), trace=trace if level == 0 else None
+            t,
+            i,
+            warp,
+            params,
+            strict=(level == 0),
+            trace=trace if level == 0 else None,
+            ws=buffers[level],
         )
         if level > 0:
             warp = _scale_translation(warp, 2.0)

@@ -27,6 +27,7 @@ from .alignment import (
     CameraMotionLog,
     EccError,
     EccParams,
+    EccWorkspace,
     camera_intensity,
     ecc_align,
 )
@@ -59,7 +60,12 @@ RefineHook = Callable[[list[Detection], "TrackStore"], list[Detection]]
 @dataclass
 class FramePacket:
     """Input for one frame: detections, and optionally the grayscale
-    image (for alignment) or a precomputed warp (which wins if set)."""
+    image (for alignment) or a precomputed warp (which wins if set).
+
+    A supplied warp must be finite with an invertible linear part: gap
+    fills invert it and the reconnection window reads its camera
+    intensity, so a bad one is refused here, before any tracker state
+    changes."""
 
     frame: int
     detections: list[Detection]
@@ -72,6 +78,11 @@ class FramePacket:
                 raise ValueError(
                     f"detection frame {det.frame} does not match packet {self.frame}"
                 )
+        if self.warp is not None:
+            if not np.isfinite(self.warp.matrix).all():
+                raise ValueError(f"frame {self.frame}: supplied warp is not finite")
+            if self.warp.det() == 0.0:
+                raise ValueError(f"frame {self.frame}: supplied warp has a singular linear part")
 
 
 @dataclass
@@ -133,6 +144,9 @@ class Tracker:
         self.config = config or TrackerConfig()
         self.motion_params = motion_params or MotionParams()
         self.ecc_params = ecc_params or EccParams()
+        # Alignment scratch memory, reused frame to frame; one per tracker
+        # so trackers on different threads never share it.
+        self.ecc_workspace = EccWorkspace()
         self.refine_detections = refine_detections
         self.frame_size = frame_size
         self.grid = CellGrid(
@@ -156,7 +170,9 @@ class Tracker:
             self.store.motion_log.record(packet.frame, AffineWarp.identity())
             return AffineWarp.identity()
         try:
-            warp, correlation = ecc_align(self.prev_image, packet.image, self.ecc_params)
+            warp, correlation = ecc_align(
+                self.prev_image, packet.image, self.ecc_params, workspace=self.ecc_workspace
+            )
         except EccError as exc:
             logger.warning("alignment failed at frame %d: %s", packet.frame, exc)
             self.store.motion_log.record_fallback(packet.frame)
@@ -300,7 +316,8 @@ class Tracker:
     def finalize(self) -> list[TrackRecord]:
         """Close the sequence: resolve outstanding fills, freeze every
         track, drop sub-minimum-length trajectories, and return the rest
-        ordered by id with frame-ordered histories."""
+        ordered by id with frame-ordered histories. A finalized tracker
+        steps no more, so it lets go of its alignment buffers."""
         if self.finalized:
             raise ValueError("tracker already finalized")
         for track_id in sorted(self.pending_fills):
@@ -312,4 +329,5 @@ class Tracker:
                 track.normalize_order()
                 kept.append(track)
         self.finalized = True
+        self.ecc_workspace = EccWorkspace()
         return sorted(kept, key=lambda t: t.track_id)

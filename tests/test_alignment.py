@@ -15,6 +15,8 @@ from motrack.alignment import (
     EccConvergenceError,
     EccError,
     EccParams,
+    EccSingularError,
+    EccWorkspace,
     apply_points,
     camera_intensity,
     compose_warps,
@@ -23,6 +25,7 @@ from motrack.alignment import (
     warp_box,
     warp_image,
     _best_integer_shift,
+    _SampleBuffers,
     _bilinear,
     _shift_correlation,
 )
@@ -375,9 +378,12 @@ def test_shift_search_small_and_flat_supports_give_minus_one():
     st.integers(2, 20),
     st.integers(2, 20),
     st.integers(0, 2**32 - 1),
+    st.lists(st.integers(0, 164), min_size=1, max_size=4),
 )
 @settings(max_examples=100, deadline=None)
-def test_bilinear_equals_map_coordinates(h, w, seed):
+def test_bilinear_equals_map_coordinates(h, w, seed, counts):
+    """One set of buffers, larger than any call needs, serves calls of
+    several point counts in turn; each call's samples match the oracle."""
     rng = np.random.default_rng(seed)
     images = [rng.uniform(0, 255, (h, w)) for _ in range(3)]
     n = 40
@@ -395,13 +401,62 @@ def test_bilinear_equals_map_coordinates(h, w, seed):
         np.full(n, h - 1.0),  # last row
         [0.0, 0.0, h - 1.0, h - 1.0],
     ])
-    got = _bilinear(tuple(img.reshape(-1) for img in images), w, h, xs, ys)
-    assert len(got) == 3
-    for img, values in zip(images, got):
-        expected = ndimage.map_coordinates(
-            img, np.vstack([ys, xs]), order=1, mode="nearest", output=float
-        )
-        assert np.max(np.abs(values - expected)) <= 1e-12
+    order = rng.permutation(xs.size)
+    xs, ys = xs[order], ys[order]
+    buf = _SampleBuffers(xs.size + 7)
+    flats = tuple(img.reshape(-1) for img in images)
+    for count in counts + [xs.size]:
+        got = _bilinear(flats, w, h, xs[:count], ys[:count], buf)
+        assert len(got) == 3
+        for img, values in zip(images, got):
+            expected = ndimage.map_coordinates(
+                img, np.vstack([ys[:count], xs[:count]]), order=1, mode="nearest", output=float
+            )
+            assert values.shape == (count,)
+            assert np.max(np.abs(values - expected), initial=0.0) <= 1e-12
+
+
+# ------------------------------------------------------------ workspace reuse
+
+
+def align_outcome(prev, cur, **kwargs):
+    trace = []
+    try:
+        warp, corr = ecc_align(prev, cur, trace=trace, **kwargs)
+    except EccError as exc:
+        return type(exc), trace
+    return warp.matrix.tolist(), corr, trace
+
+
+def test_one_workspace_across_sizes_and_failures_matches_call_local():
+    a_prev, a_cur, _ = textured_pair(0)
+    b_prev, b_cur, _ = textured_pair(3, size=80)
+    c_prev, c_cur, _ = textured_pair(7)
+    flat = np.full(b_prev.shape, 128.0)
+    pairs = [
+        (a_prev, a_cur),
+        (b_prev, b_cur),
+        (b_prev, flat),  # raises mid-level, in the buffers the next pair uses
+        (flat, b_cur),
+        (b_prev, b_cur),
+        (c_prev, c_cur),
+        (a_prev, a_cur),
+    ]
+    workspace = EccWorkspace()
+    for prev, cur in pairs:
+        expected = align_outcome(prev, cur)
+        assert align_outcome(prev, cur, workspace=workspace) == expected
+    assert [align_outcome(*pair)[0] for pair in pairs[2:4]] == [EccSingularError] * 2
+
+
+def test_workspace_keeps_one_frame_size():
+    workspace = EccWorkspace()
+    small, large = [(64, 48), (32, 24)], [(80, 80), (40, 40)]
+    first = workspace.levels(small)
+    assert workspace.levels(small) is first
+    assert [level.shape for level in workspace.levels(large)] == large
+    again = workspace.levels(small)
+    assert again is not first and [level.shape for level in again] == small
 
 
 # ------------------------------------------------------------------------ pgm

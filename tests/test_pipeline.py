@@ -1,16 +1,17 @@
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import motrack.pipeline
-from motrack.alignment import AffineWarp, ecc_align
+from motrack.alignment import AffineWarp, EccError, ecc_align
 from motrack.config import TrackerConfig
 from motrack.geometry import BoundingBox, Detection
 from motrack.pipeline import FramePacket, Tracker
-from motrack.synth import textured_pair
+from motrack.synth import generate, random_scenario, render_frames, textured_pair
 from motrack.tracks import FILL_CONFIDENCE, TrackStatus
 
 SIZE = (960.0, 540.0)
@@ -303,13 +304,198 @@ def test_tracks_come_back_sorted_and_frozen():
         assert list(t.history) == sorted(t.history)
 
 
-def test_benchmark_tracer_layer_names_resolve_on_pipeline(monkeypatch):
-    # The benchmark's tracer swaps these names on motrack.pipeline for
-    # timing wrappers; one a refactor drops fails there only at run time.
+def load_tracing(monkeypatch):
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_layer_names_resolve_on_pipeline(monkeypatch):
+    # The benchmark's tracer swaps these names on motrack.pipeline for
+    # timing wrappers; one a refactor drops fails there only at run time.
+    tracing = load_tracing(monkeypatch)
     missing = [n for n in tracing.TIMED_LAYERS if not callable(getattr(motrack.pipeline, n, None))]
     assert not missing
+
+
+def test_benchmark_tracer_times_every_alignment_and_passes_keywords(monkeypatch):
+    # The timing wrapper adds trace= to the keywords Tracker.step passes
+    # to ecc_align; every estimated warp must give one span and a
+    # non-empty iteration trace.
+    tracing = load_tracing(monkeypatch)
+    spec = random_scenario(4, n_targets=3, frame_count=9, width=320.0, height=240.0)
+    scenario = generate(spec, 4)
+    packets = scenario.packets(with_warps=False, images=render_frames(scenario, 4))[:3]
+    rec = tracing.Recorder(timing=True)
+    originals = tracing.pipeline_originals()
+    rec.install(originals)
+    try:
+        tracker = Tracker(frame_size=scenario.frame_size)
+        events = []
+        for step, packet in enumerate(packets, 1):
+            rec.step = step
+            events.append(tracker.step(packet))
+    finally:
+        tracing.restore(originals)
+    assert motrack.pipeline.ecc_align is ecc_align
+    estimated = [ev.frame for ev in events if ev.alignment_correlation is not None]
+    assert estimated == [2, 3]
+    assert [span[2] for span in rec.spans if span[0] == "alignment.ecc"] == [2, 3]
+    calls = rec.calls_of("alignment.ecc", 0)
+    assert [call[2] for call in calls] == [2, 3]
+    for call, ev in zip(calls, events[1:]):
+        (warp, correlation), iterations = call[4]
+        assert iterations > 0
+        assert correlation == ev.alignment_correlation
+        assert warp is tracker.store.motion_log.get(ev.frame)
+
+
+# ------------------------------------------------------- alignment workspace
+
+
+def call_local_alignments(packets):
+    """Per frame, the outcome of ecc_align on the frame pair the tracker
+    aligns, each call with its own buffers: (warp matrix, correlation),
+    "fallback" for a pair that raises, or None where the tracker does
+    not align."""
+    out, prev = [], None
+    for packet in packets:
+        outcome = None
+        if packet.warp is None and packet.image is not None and prev is not None:
+            try:
+                warp, corr = ecc_align(prev, packet.image)
+                outcome = (warp.matrix.tolist(), corr)
+            except EccError:
+                outcome = "fallback"
+        out.append(outcome)
+        prev = packet.image
+    return out
+
+
+def tracker_alignments(tracker, packets):
+    out = []
+    for packet in packets:
+        ev = tracker.step(packet)
+        if ev.alignment_fallback:
+            out.append("fallback")
+        elif ev.alignment_correlation is None:
+            out.append(None)
+        else:
+            warp = tracker.store.motion_log.get(packet.frame)
+            out.append((warp.matrix.tolist(), ev.alignment_correlation))
+    return out
+
+
+def image_packets(images, warps):
+    return [
+        FramePacket(f, [], image=img, warp=warps.get(f)) for f, img in enumerate(images, 1)
+    ]
+
+
+def test_tracker_workspace_across_sizes_and_fallbacks_matches_call_local():
+    a_prev, a_cur, _ = textured_pair(0)
+    b_prev, b_cur, _ = textured_pair(3, size=80)
+    c_prev, c_cur, _ = textured_pair(7)
+    flat = np.full(b_prev.shape, 128.0)
+    # A supplied warp hands over to a frame of the other size; the flat
+    # frame makes the two pairs around it fall back.
+    images = [a_prev, a_cur, b_prev, b_cur, flat, b_prev, b_cur, c_prev, c_cur]
+    packets = image_packets(images, {3: AffineWarp.identity(), 8: AffineWarp.identity()})
+    expected = call_local_alignments(packets)
+    assert [e if e in (None, "fallback") else "warp" for e in expected] == [
+        None, "warp", None, "warp", "fallback", "fallback", "warp", None, "warp"
+    ]
+    assert tracker_alignments(Tracker(frame_size=SIZE), packets) == expected
+
+
+def test_finalize_lets_go_of_the_alignment_workspace():
+    prev, cur, _ = textured_pair(0)
+    tracker = Tracker(frame_size=SIZE)
+    tracker.step(FramePacket(1, [], image=prev))
+    tracker.step(FramePacket(2, [], image=cur))
+    workspace = tracker.ecc_workspace
+    tracker.finalize()
+    assert tracker.ecc_workspace is not workspace
+
+
+def test_trackers_on_two_threads_keep_their_own_workspaces():
+    images = []
+    for seed, size in ((0, 64), (3, 80), (7, 64)):
+        prev, cur, _ = textured_pair(seed, size=size)
+        images += [prev, cur]
+    packets = image_packets(images, {3: AffineWarp.identity(), 5: AffineWarp.identity()})
+    expected = call_local_alignments(packets)
+    results = {}
+
+    def work(name):
+        results[name] = [tracker_alignments(Tracker(frame_size=SIZE), packets) for _ in range(3)]
+
+    threads = [threading.Thread(target=work, args=(name,)) for name in "ab"]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert results == {"a": [expected] * 3, "b": [expected] * 3}
+
+
+# -------------------------------------------------------- supplied warp checks
+
+
+def tracker_state(tracker):
+    """Everything a step can change, as plain comparable values."""
+    store = tracker.store
+    return (
+        tracker.last_frame,
+        tracker.prev_image,
+        store.next_id,
+        {f: w.matrix.tolist() for f, w in store.motion_log.warps.items()},
+        list(store.motion_log.fallback_frames),
+        sorted(tracker.pending_fills),
+        [
+            (
+                t.track_id,
+                t.status,
+                dict(t.history),
+                t.deactivated_len,
+                t.window,
+                t.state.mean.tolist(),
+                t.state.cov_terms.tolist(),
+            )
+            for t in store.tracks.values()
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        # Inside this gap, the fill's backward pass would invert it.
+        ([[0.0, 0.0, 5.0], [0.0, 1.0, 0.0]], "singular"),
+        # Its camera intensity, and so the reconnection window, would be
+        # NaN, and a coasting track would never expire.
+        ([[np.nan] * 3, [np.nan] * 3], "not finite"),
+        # camera_intensity rejects a zero-norm warp, after the log has it.
+        ([[0.0] * 3, [0.0] * 3], "singular"),
+    ],
+    ids=["singular-in-gap", "all-nan", "all-zero"],
+)
+def test_bad_supplied_warp_refused_before_the_tracker_changes(matrix, message):
+    config = TrackerConfig(l_max=5.0)
+    packets = linear_packets(20, vx=0.5, skip=set(range(9, 13)))
+    tracker = Tracker(config=config, frame_size=SIZE)
+    for packet in packets[:10]:
+        tracker.step(packet)
+    before = tracker_state(tracker)
+    with pytest.raises(ValueError, match=message):
+        FramePacket(11, [], warp=AffineWarp(np.array(matrix)))
+    assert tracker_state(tracker) == before
+    # The refused packet left nothing behind: the rest of the sequence
+    # tracks exactly as if it had never been offered.
+    for packet in packets[10:]:
+        tracker.step(packet)
+    tracks, _ = run(packets, config)
+    assert [t.history for t in tracker.finalize()] == [t.history for t in tracks]
