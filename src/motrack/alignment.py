@@ -183,6 +183,14 @@ def camera_intensity(warp: AffineWarp) -> float:
     return 1.0 - float(np.dot(w, _REFERENCE)) / math.sqrt(w_sq * r_sq)
 
 
+def image_shape(image) -> tuple[int, ...]:
+    """Shape of an image as `ecc_align` will read it, without converting
+    it: (height, width) for anything exposing .to_float()."""
+    if hasattr(image, "to_float"):
+        return (image.height, image.width)
+    return np.shape(image)
+
+
 def _as_float_image(image) -> np.ndarray:
     """Accept a 2D array or anything exposing .to_float() (see pgm.GrayImage)."""
     if hasattr(image, "to_float"):

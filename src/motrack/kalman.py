@@ -12,10 +12,14 @@ over a (position, velocity) pair. So every covariance the filter makes is
 kron(C, I4) with C a symmetric 2x2, and a state carries only C's three
 terms (pp, pv, vv). The gain is (pp, pv) / (pp + r), with no solve.
 
-`predict_states` and `update_states` run the filter on the stacked
-(T, 8) means and (T, 3) covariance terms of T tracks at once; the tracker
-calls them once per frame. `km_predict`, `iml_predict` and `km_update`
-run them on one state.
+The filter has two paths, chosen by the caller's shape. `predict_states`
+and `update_states` run it with numpy on the stacked (T, 8) means and
+(T, 3) covariance terms of T tracks at once; the tracker calls them once
+per frame. `km_predict`, `iml_predict` and `km_update` run it on one
+state's Python floats, where numpy's per-call overhead would outweigh
+the arithmetic: the gap filler chains hundreds of them per reconnection.
+Both paths do the same operations in the same order, so they agree bit
+for bit; `test_filter_equals_dense_oracle` holds them equal.
 """
 
 from __future__ import annotations
@@ -64,16 +68,20 @@ class MotionParams:
     init_pos_factor: float = 10.0
     init_vel_factor: float = 1000.0
 
+    # Squares are products: numpy squares arrays that way, while a float's
+    # ** 2 goes through pow(), which can differ in the last bit.
     def process_variances(self, heights):
         """Process noise variances (position, velocity) per box height;
         scalars for a scalar height, (T,) arrays for a (T,) array."""
-        return (self.std_pos * heights) ** 2, (self.std_vel * heights) ** 2
+        sp = self.std_pos * heights
+        sv = self.std_vel * heights
+        return sp * sp, sv * sv
 
     def measurement_variances(self, heights):
         """Variance of each box component's measurement noise (the four
         share it), per box height; scalar in, scalar out."""
-        sp = self.std_pos if self.std_meas is None else self.std_meas
-        return (sp * heights) ** 2
+        sp = (self.std_pos if self.std_meas is None else self.std_meas) * heights
+        return sp * sp
 
 
 @dataclass
@@ -91,7 +99,7 @@ class KalmanState:
         return np.kron(np.array([[pp, pv], [pv, vv]]), np.eye(MEAS_DIM))
 
     def box(self) -> BoundingBox:
-        cx, cy, w, h = self.mean[:MEAS_DIM]
+        cx, cy, w, h = self.mean[:MEAS_DIM].tolist()
         return from_center_form(cx, cy, w, h)
 
     def copy(self) -> "KalmanState":
@@ -118,8 +126,12 @@ def _warp_boxes(warp: AffineWarp, means: np.ndarray) -> np.ndarray:
     axis-aligned box is rebuilt on them. Returns the (T,) mask of rows
     whose box the warp collapsed to zero extent; those keep their box.
     """
-    corners = centers_to_corners(means[:, :MEAS_DIM]).reshape(-1, 2, 2)
-    mapped = corners @ warp.linear().T + warp.offset()
+    (a, b, tx), (c, d, ty) = warp.matrix.tolist()
+    corners = centers_to_corners(means[:, :MEAS_DIM])
+    xs, ys = corners[:, 0::2], corners[:, 1::2]
+    # Element-wise rather than a matmul, whose BLAS kernel may fuse the
+    # multiply-adds: this is the arithmetic `_predict_floats` repeats.
+    mapped = np.stack([a * xs + b * ys + tx, c * xs + d * ys + ty], axis=2)
     first, second = mapped[:, 0], mapped[:, 1]
     low = np.minimum(first, second)
     extent = np.maximum(first, second) - low
@@ -189,20 +201,72 @@ def update_states(
     return updated, cov_terms - gain[:, [0, 0, 1]] * cov_terms[:, [0, 1, 1]]
 
 
+_IDENTITY_ROWS = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+
+
+def _predict_floats(
+    state: KalmanState, warp: AffineWarp | None, params: MotionParams
+) -> tuple[list[float], list[float], bool]:
+    """`predict_states` of one state on Python floats, operation for
+    operation. Returns the predicted mean and covariance terms, and
+    whether the warp collapsed the box (which then keeps the unwarped
+    prediction)."""
+    cx, cy, w, h, vx, vy, vw, vh = state.mean.tolist()
+    pp, pv, vv = state.cov_terms.tolist()
+    q_pos, q_vel = params.process_variances(h)
+    pv_next = pv + vv
+    terms = [(pp + pv) + pv_next + q_pos, pv_next, vv + q_vel]
+    # max(x, floor) keeps a NaN x, as np.maximum does.
+    cx, cy, w, h = cx + vx, cy + vy, max(w + vw, SIZE_FLOOR), max(h + vh, SIZE_FLOOR)
+    collapsed = False
+    rows = None if warp is None else warp.matrix.tolist()
+    if rows is not None and rows != _IDENTITY_ROWS:
+        (a, b, tx), (c, d, ty) = rows
+        x1, y1, x2, y2 = cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h
+        fx, fy = a * x1 + b * y1 + tx, c * x1 + d * y1 + ty
+        sx, sy = a * x2 + b * y2 + tx, c * x2 + d * y2 + ty
+        low_x, low_y = min(fx, sx), min(fy, sy)
+        ex, ey = max(fx, sx) - low_x, max(fy, sy) - low_y
+        # Both extents tested, so that a NaN in either counts as collapsed.
+        collapsed = not (ex > 0.0 and ey > 0.0)
+        if not collapsed:
+            cx, cy = low_x + 0.5 * ex, low_y + 0.5 * ey
+            w, h = max(ex, SIZE_FLOOR), max(ey, SIZE_FLOOR)
+    return [cx, cy, w, h, vx, vy, vw, vh], terms, collapsed
+
+
 def km_predict(state: KalmanState, params: MotionParams) -> KalmanState:
     """`predict_states` of one state, with no warp."""
-    means, terms, _ = predict_states(state.mean[None], state.cov_terms[None], None, params)
-    return KalmanState(means[0], terms[0])
+    mean, terms, _ = _predict_floats(state, None, params)
+    return KalmanState(np.array(mean), np.array(terms))
 
 
 def km_update(
     state: KalmanState, observation: BoundingBox, params: MotionParams
 ) -> KalmanState:
-    """`update_states` of one state against a corner-form box."""
-    means, terms = update_states(
-        state.mean[None], state.cov_terms[None], observation.as_array()[None], params
-    )
-    return KalmanState(means[0], terms[0])
+    """`update_states` of one state against a corner-form box, on Python
+    floats, operation for operation."""
+    cx, cy, w, h, vx, vy, vw, vh = state.mean.tolist()
+    pp, pv, vv = state.cov_terms.tolist()
+    s = pp + params.measurement_variances(h)
+    if not s > 0.0:
+        raise DegenerateStateError("innovation variance is not positive")
+    k_pos, k_vel = pp / s, pv / s
+    ow, oh = observation.x2 - observation.x1, observation.y2 - observation.y1
+    dx, dy = observation.x1 + 0.5 * ow - cx, observation.y1 + 0.5 * oh - cy
+    dw, dh = ow - w, oh - h
+    mean = [
+        cx + k_pos * dx,
+        cy + k_pos * dy,
+        max(w + k_pos * dw, SIZE_FLOOR),
+        max(h + k_pos * dh, SIZE_FLOOR),
+        vx + k_vel * dx,
+        vy + k_vel * dy,
+        vw + k_vel * dw,
+        vh + k_vel * dh,
+    ]
+    terms = [pp - k_pos * pp, pv - k_pos * pv, vv - k_vel * pv]
+    return KalmanState(np.array(mean), np.array(terms))
 
 
 def iml_predict(
@@ -213,12 +277,10 @@ def iml_predict(
     Raises DegenerateStateError if the warp collapses the box to zero
     extent.
     """
-    means, terms, collapsed = predict_states(
-        state.mean[None], state.cov_terms[None], warp, params
-    )
-    if collapsed[0]:
+    mean, terms, collapsed = _predict_floats(state, warp, params)
+    if collapsed:
         raise DegenerateStateError("warp collapsed the box to zero extent")
-    return KalmanState(means[0], terms[0])
+    return KalmanState(np.array(mean), np.array(terms))
 
 
 def velocity_norm(state: KalmanState, image_diagonal: float) -> float:

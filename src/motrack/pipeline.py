@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .alignment import (
+    MIN_ALIGN_DIM,
     AffineWarp,
     CameraMotionLog,
     EccError,
@@ -30,6 +31,7 @@ from .alignment import (
     EccWorkspace,
     camera_intensity,
     ecc_align,
+    image_shape,
 )
 from .config import TrackerConfig
 from .gating import CellGrid, fully_connected_cost, gated_cost
@@ -64,8 +66,10 @@ class FramePacket:
 
     A supplied warp must be finite with an invertible linear part: gap
     fills invert it and the reconnection window reads its camera
-    intensity, so a bad one is refused here, before any tracker state
-    changes."""
+    intensity. An image must be 2-D and at least MIN_ALIGN_DIM pixels on
+    each side. Both are checked on construction and again by
+    `Tracker.step`, so a bad one assigned later is refused too, before
+    any tracker state changes."""
 
     frame: int
     detections: list[Detection]
@@ -78,11 +82,24 @@ class FramePacket:
                 raise ValueError(
                     f"detection frame {det.frame} does not match packet {self.frame}"
                 )
+        self.check_inputs()
+
+    def check_inputs(self) -> None:
+        """Raise ValueError on a bad supplied warp or image."""
         if self.warp is not None:
             if not np.isfinite(self.warp.matrix).all():
                 raise ValueError(f"frame {self.frame}: supplied warp is not finite")
             if self.warp.det() == 0.0:
                 raise ValueError(f"frame {self.frame}: supplied warp has a singular linear part")
+        if self.image is not None:
+            shape = image_shape(self.image)
+            if len(shape) != 2:
+                raise ValueError(f"frame {self.frame}: image must be 2-D, got shape {shape}")
+            if min(shape) < MIN_ALIGN_DIM:
+                raise ValueError(
+                    f"frame {self.frame}: image must be at least {MIN_ALIGN_DIM} px "
+                    f"on each side, got shape {shape}"
+                )
 
 
 @dataclass
@@ -169,18 +186,23 @@ class Tracker:
         if packet.image is None or self.prev_image is None:
             self.store.motion_log.record(packet.frame, AffineWarp.identity())
             return AffineWarp.identity()
+        if image_shape(packet.image) != image_shape(self.prev_image):
+            return self._alignment_fallback(packet.frame, events, "frame size changed")
         try:
             warp, correlation = ecc_align(
                 self.prev_image, packet.image, self.ecc_params, workspace=self.ecc_workspace
             )
         except EccError as exc:
-            logger.warning("alignment failed at frame %d: %s", packet.frame, exc)
-            self.store.motion_log.record_fallback(packet.frame)
-            events.alignment_fallback = True
-            return AffineWarp.identity()
+            return self._alignment_fallback(packet.frame, events, exc)
         events.alignment_correlation = correlation
         self.store.motion_log.record(packet.frame, warp)
         return warp
+
+    def _alignment_fallback(self, frame: int, events: FrameEvents, reason) -> AffineWarp:
+        logger.warning("alignment failed at frame %d: %s", frame, reason)
+        self.store.motion_log.record_fallback(frame)
+        events.alignment_fallback = True
+        return AffineWarp.identity()
 
     # -- fill resolution -----------------------------------------------
 
@@ -201,6 +223,9 @@ class Tracker:
             raise ValueError(
                 f"frames must be consecutive: got {packet.frame} after {self.last_frame}"
             )
+        # Again here: the packet's warp or image may have been assigned
+        # after it was built.
+        packet.check_inputs()
         events = FrameEvents(packet.frame)
         frame = packet.frame
         params = self.motion_params

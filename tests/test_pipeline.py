@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import motrack.pipeline
-from motrack.alignment import AffineWarp, EccError, ecc_align
+from motrack.alignment import MIN_ALIGN_DIM, AffineWarp, EccError, ecc_align
 from motrack.config import TrackerConfig
 from motrack.geometry import BoundingBox, Detection
 from motrack.pipeline import FramePacket, Tracker
@@ -470,6 +470,29 @@ def tracker_state(tracker):
     )
 
 
+def assert_refused_without_trace(field, value, message):
+    """A packet with `field` set to `value` is refused on construction,
+    and by `step` when assigned later, leaving the tracker unchanged; the
+    sequence then tracks as if the packet had never been offered."""
+    with pytest.raises(ValueError, match=message):
+        FramePacket(11, [], **{field: value})
+    config = TrackerConfig(l_max=5.0)
+    packets = linear_packets(20, vx=0.5, skip=set(range(9, 13)))
+    tracker = Tracker(config=config, frame_size=SIZE)
+    for packet in packets[:10]:
+        tracker.step(packet)
+    before = tracker_state(tracker)
+    setattr(packets[10], field, value)
+    with pytest.raises(ValueError, match=message):
+        tracker.step(packets[10])
+    assert tracker_state(tracker) == before
+    setattr(packets[10], field, None)
+    for packet in packets[10:]:
+        tracker.step(packet)
+    tracks, _ = run(packets, config)
+    assert [t.history for t in tracker.finalize()] == [t.history for t in tracks]
+
+
 @pytest.mark.parametrize(
     "matrix, message",
     [
@@ -484,18 +507,29 @@ def tracker_state(tracker):
     ids=["singular-in-gap", "all-nan", "all-zero"],
 )
 def test_bad_supplied_warp_refused_before_the_tracker_changes(matrix, message):
-    config = TrackerConfig(l_max=5.0)
-    packets = linear_packets(20, vx=0.5, skip=set(range(9, 13)))
-    tracker = Tracker(config=config, frame_size=SIZE)
-    for packet in packets[:10]:
-        tracker.step(packet)
-    before = tracker_state(tracker)
-    with pytest.raises(ValueError, match=message):
-        FramePacket(11, [], warp=AffineWarp(np.array(matrix)))
-    assert tracker_state(tracker) == before
-    # The refused packet left nothing behind: the rest of the sequence
-    # tracks exactly as if it had never been offered.
-    for packet in packets[10:]:
-        tracker.step(packet)
-    tracks, _ = run(packets, config)
-    assert [t.history for t in tracker.finalize()] == [t.history for t in tracks]
+    assert_refused_without_trace("warp", AffineWarp(np.array(matrix)), message)
+
+
+@pytest.mark.parametrize(
+    "image, message",
+    [(np.zeros((64, 64, 3)), "2-D"), (np.zeros((MIN_ALIGN_DIM - 1, 64)), "at least")],
+    ids=["colour", "thin"],
+)
+def test_bad_image_refused_before_the_tracker_changes(image, message):
+    assert_refused_without_trace("image", image, message)
+
+
+def test_frame_size_change_falls_back_and_aligns_from_the_new_frame():
+    a_prev, a_cur, _ = textured_pair(0)
+    b_prev, b_cur, _ = textured_pair(3, size=80)
+    tracker = Tracker(frame_size=SIZE)
+    events = [tracker.step(p) for p in image_packets([a_prev, a_cur, b_prev, b_cur], {})]
+    assert [ev.alignment_fallback for ev in events] == [False, False, True, False]
+    log = tracker.store.motion_log
+    assert log.fallback_frames == [3]
+    assert log.get(3).is_identity()
+    # The new frame became the reference: frame 4 aligns against it.
+    warp, correlation = ecc_align(b_prev, b_cur)
+    assert events[3].alignment_correlation == correlation
+    assert log.get(4).matrix.tolist() == warp.matrix.tolist()
+    assert tracker.prev_image is b_cur
