@@ -81,7 +81,10 @@ class AffineWarp:
         return self.matrix[:, 2]
 
     def det(self) -> float:
-        return float(np.linalg.det(self.linear()))
+        """Determinant of the linear part; `invert_warp` refuses a warp
+        whose determinant is 0."""
+        (a, b, _), (c, d, _) = self.matrix.tolist()
+        return a * d - b * c
 
     def flatten(self) -> np.ndarray:
         return self.matrix.reshape(-1).copy()
@@ -148,13 +151,16 @@ def warp_box(warp: AffineWarp, box: BoundingBox) -> BoundingBox:
 
 
 def invert_warp(warp: AffineWarp) -> AffineWarp:
-    a = warp.linear()
-    try:
-        a_inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("warp linear part is singular") from exc
-    t_inv = -a_inv @ warp.offset()
-    return AffineWarp(np.hstack([a_inv, t_inv[:, None]]))
+    """Closed form on Python floats: the gap filler inverts one warp
+    per filled frame, and a LAPACK call costs more than the arithmetic."""
+    det = warp.det()
+    if det == 0.0:
+        raise ValueError("warp linear part is singular")
+    (a, b, tx), (c, d, ty) = warp.matrix.tolist()
+    ia, ib, ic, id_ = d / det, -b / det, -c / det, a / det
+    return AffineWarp(
+        np.array([[ia, ib, -(ia * tx + ib * ty)], [ic, id_, -(ic * tx + id_ * ty)]])
+    )
 
 
 def compose_warps(outer: AffineWarp, inner: AffineWarp) -> AffineWarp:

@@ -13,11 +13,12 @@ kron(C, I4) with C a symmetric 2x2, and a state carries only C's three
 terms (pp, pv, vv). The gain is (pp, pv) / (pp + r), with no solve.
 
 The filter has two paths, chosen by the caller's shape. `predict_states`
-and `update_states` run it with numpy on the stacked (T, 8) means and
-(T, 3) covariance terms of T tracks at once; the tracker calls them once
-per frame. `km_predict`, `iml_predict` and `km_update` run it on one
-state's Python floats, where numpy's per-call overhead would outweigh
-the arithmetic: the gap filler chains hundreds of them per reconnection.
+and `update_states` run it with numpy on the (T, 8) means and (T, 3)
+covariance terms of T tracks at once; the tracker calls them on its
+track table once per frame. `km_predict`, `iml_predict` and `km_update`
+run it on one state's Python floats, where numpy's per-call overhead
+would outweigh the arithmetic: the gap filler chains hundreds of them
+per reconnection.
 Both paths do the same operations in the same order, so they agree bit
 for bit; `test_filter_equals_dense_oracle` holds them equal.
 """
@@ -283,9 +284,10 @@ def iml_predict(
     return KalmanState(np.array(mean), np.array(terms))
 
 
-def velocity_norm(state: KalmanState, image_diagonal: float) -> float:
-    """Speed of the box state relative to the image diagonal, in [0, 1]."""
+def velocity_norm(mean: np.ndarray, image_diagonal: float) -> float:
+    """Speed of an (8,) state mean relative to the image diagonal, in
+    [0, 1]."""
     if image_diagonal <= 0:
         raise ValueError("image_diagonal must be positive")
-    speed = math.sqrt(float(np.dot(state.mean[MEAS_DIM:], state.mean[MEAS_DIM:])))
+    speed = math.sqrt(float(np.dot(mean[MEAS_DIM:], mean[MEAS_DIM:])))
     return min(speed / image_diagonal, 1.0)

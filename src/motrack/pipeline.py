@@ -1,11 +1,15 @@
 """Per-frame tracking loop.
 
-Each step: align the frame against the previous one (or take a caller
-supplied warp), coast every live track through the warp, gate and match
-detections, reconnect or spawn, and age out tracks whose miss count
-exceeded their dynamic window. Boxes for missed frames are committed
-only when a track reconnects; a track that dies coasting leaves no
-trace of the coast in its output.
+The tracker keeps one track table: `live`, the unfinished tracks in
+creation order, and the (T, 8) means and (T, 3) covariance terms of
+their motion states, row for row. Each step: align the frame against the
+previous one (or take a caller supplied warp), coast every row through
+the warp in one batch, gate and match detections, update the matched
+rows, reconnect or spawn, and age out tracks whose miss count exceeded
+their dynamic window. Expired rows leave the table and spawned rows join
+it at the end of the step. Boxes for missed frames are committed only
+when a track reconnects; a track that dies coasting leaves no trace of
+the coast in its output.
 
 Gap fills are deferred: the filler wants the first few boxes observed
 after re-association to train its backward pass, so a reconnection
@@ -18,7 +22,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -52,11 +55,9 @@ from .kalman import (
 # layer functions by name on `motrack.pipeline`.
 from .kalman import iml_predict, km_predict, km_update  # noqa: F401
 from .reconnect import FillRequest, ReconnectionPolicy, fill_fragment, reconnection_window
-from .tracks import TrackRecord, TrackStatus
+from .tracks import FILL_CONFIDENCE, TrackRecord, TrackStatus
 
 logger = logging.getLogger(__name__)
-
-RefineHook = Callable[[list[Detection], "TrackStore"], list[Detection]]
 
 
 @dataclass
@@ -132,19 +133,12 @@ class TrackStore:
     next_id: int = 1
     motion_log: CameraMotionLog = field(default_factory=CameraMotionLog)
 
-    def new_track(self, det: Detection, params: MotionParams) -> TrackRecord:
-        track = TrackRecord(
-            track_id=self.next_id,
-            state=km_init(det.box, params),
-            start_frame=det.frame,
-        )
+    def new_track(self, det: Detection) -> TrackRecord:
+        track = TrackRecord(track_id=self.next_id, start_frame=det.frame)
         track.commit(det.frame, det.box, det.confidence)
         self.tracks[track.track_id] = track
         self.next_id += 1
         return track
-
-    def non_finished(self) -> list[TrackRecord]:
-        return [t for t in self.tracks.values() if t.status is not TrackStatus.FINISHED]
 
 
 class Tracker:
@@ -156,7 +150,6 @@ class Tracker:
         frame_size: tuple[float, float] = (1920.0, 1080.0),
         motion_params: MotionParams | None = None,
         ecc_params: EccParams | None = None,
-        refine_detections: RefineHook | None = None,
     ) -> None:
         self.config = config or TrackerConfig()
         self.motion_params = motion_params or MotionParams()
@@ -164,7 +157,6 @@ class Tracker:
         # Alignment scratch memory, reused frame to frame; one per tracker
         # so trackers on different threads never share it.
         self.ecc_workspace = EccWorkspace()
-        self.refine_detections = refine_detections
         self.frame_size = frame_size
         self.grid = CellGrid(
             self.config.grid_m, self.config.grid_n, frame_size[0], frame_size[1]
@@ -172,6 +164,11 @@ class Tracker:
         self.diagonal = math.hypot(frame_size[0], frame_size[1])
         self.policy = ReconnectionPolicy.from_config(self.config)
         self.store = TrackStore()
+        # The track table: the unfinished tracks in creation order, and
+        # their motion states row for row.
+        self.live: list[TrackRecord] = []
+        self.means = np.empty((0, 2 * MEAS_DIM))
+        self.cov_terms = np.empty((0, 3))
         self.last_frame: int | None = None
         self.prev_image = None
         self.pending_fills: dict[int, FillRequest] = {}
@@ -233,25 +230,18 @@ class Tracker:
         warp = self._frame_warp(packet, events)
         i_cam = camera_intensity(warp)
 
-        # Coast every live track through the warp, all in one batch. The
-        # posterior states stay on `posteriors`: if an active track loses
-        # its detection this frame, its posterior anchors the future fill.
-        live = self.store.non_finished()
-        posteriors = [t.state for t in live]
-        means, cov_terms, collapsed = predict_states(
-            np.array([s.mean for s in posteriors]).reshape(-1, 2 * MEAS_DIM),
-            np.array([s.cov_terms for s in posteriors]).reshape(-1, 3),
-            warp,
-            params,
-        )
+        # Coast every row of the table through the warp, all in one batch.
+        # `self.means` / `self.cov_terms` keep the posteriors until the
+        # step ends: if an active track loses its detection this frame,
+        # its posterior row anchors the future fill.
+        live = self.live
+        means, cov_terms, collapsed = predict_states(self.means, self.cov_terms, warp, params)
         for row in np.flatnonzero(collapsed).tolist():
             logger.warning(
                 "warp degenerated track %d at frame %d; coasting without it",
                 live[row].track_id,
                 frame,
             )
-        for track, mean, terms in zip(live, means, cov_terms):
-            track.state = KalmanState(mean, terms)
         predictions = [
             BoundingBox(*box) for box in centers_to_corners(means[:, :MEAS_DIM]).tolist()
         ]
@@ -259,9 +249,6 @@ class Tracker:
         detections = [
             d for d in packet.detections if d.confidence >= self.config.confidence_floor
         ]
-        if self.refine_detections is not None:
-            detections = self.refine_detections(detections, self.store)
-
         det_boxes = [d.box for d in detections]
         # Positional calls, once per step: the benchmark's tracer swaps
         # these module names for wrappers that take positional arguments.
@@ -271,24 +258,22 @@ class Tracker:
             cost = fully_connected_cost(predictions, det_boxes, self.config)
         assignment = km_solve(cost)
 
-        # Nothing in this loop reads a matched track's state; the batched
-        # update after it writes them all.
         for row, col in assignment.pairs:
             track = live[row]
             det = detections[col]
             events.matches.append((track.track_id, col))
             if track.status is TrackStatus.DEACTIVATED:
+                frame_a = track.last_frame
                 req = FillRequest(
                     track_id=track.track_id,
-                    frame_a=track.deactivation_frame,
+                    frame_a=frame_a,
                     frame_b=frame,
-                    box_a=track.history[track.deactivation_frame],
+                    box_a=track.history[frame_a],
                     box_b=det.box,
-                    state_a=track.snapshot.copy(),
+                    state_a=track.snapshot,
                     post_b_tracklet=[det.box],
                     warps={
-                        f: self.store.motion_log.get(f)
-                        for f in range(track.deactivation_frame + 1, frame + 1)
+                        f: self.store.motion_log.get(f) for f in range(frame_a + 1, frame + 1)
                     },
                 )
                 track.reactivate()
@@ -304,9 +289,9 @@ class Tracker:
         if assignment.pairs:
             rows = [row for row, _ in assignment.pairs]
             observed = boxes_to_array([detections[col].box for _, col in assignment.pairs])
-            means, cov_terms = update_states(means[rows], cov_terms[rows], observed, params)
-            for row, mean, terms in zip(rows, means, cov_terms):
-                live[row].state = KalmanState(mean, terms)
+            means[rows], cov_terms[rows] = update_states(
+                means[rows], cov_terms[rows], observed, params
+            )
 
         for row in assignment.unmatched_tracks:
             track = live[row]
@@ -315,24 +300,32 @@ class Tracker:
                     # The post-reconnection tracklet just broke; fill with
                     # however many boxes it gathered.
                     events.fills.append(self._resolve_fill(track.track_id))
-                # A copy, so the snapshot holds no view into a batch array.
-                track.deactivate(track.last_frame, posteriors[row].copy())
-            v_norm = velocity_norm(track.state, self.diagonal)
+                # Copies, so the snapshot keeps no whole table array alive.
+                track.deactivate(
+                    KalmanState(self.means[row].copy(), self.cov_terms[row].copy())
+                )
             if self.config.fixed_window:
                 window = self.policy.l_max
             else:
+                v_norm = velocity_norm(means[row], self.diagonal)
                 window = reconnection_window(i_cam, v_norm, self.policy)
-            track.window = window
-            if track.deactivated_len > window:
+            if frame - track.last_frame - 1 > window:
                 track.finish()
-                track.state = track.state.copy()  # let go of the batch arrays
                 events.expirations.append(track.track_id)
-            else:
-                track.hold()
 
-        for col in assignment.unmatched_detections:
-            spawned = self.store.new_track(detections[col], params)
-            events.spawns.append(spawned.track_id)
+        if events.expirations:
+            kept = [row for row, t in enumerate(live) if t.status is not TrackStatus.FINISHED]
+            live = [live[row] for row in kept]
+            means, cov_terms = means[kept], cov_terms[kept]
+        new = [detections[col] for col in assignment.unmatched_detections]
+        if new:
+            spawned = [self.store.new_track(det) for det in new]
+            states = [km_init(det.box, params) for det in new]
+            live = live + spawned
+            means = np.concatenate([means, [s.mean for s in states]])
+            cov_terms = np.concatenate([cov_terms, [s.cov_terms for s in states]])
+            events.spawns.extend(track.track_id for track in spawned)
+        self.live, self.means, self.cov_terms = live, means, cov_terms
 
         self.last_frame = frame
         self.prev_image = packet.image
@@ -342,7 +335,8 @@ class Tracker:
         """Close the sequence: resolve outstanding fills, freeze every
         track, drop sub-minimum-length trajectories, and return the rest
         ordered by id with frame-ordered histories. A finalized tracker
-        steps no more, so it lets go of its alignment buffers."""
+        steps no more, so it lets go of its track table and alignment
+        buffers."""
         if self.finalized:
             raise ValueError("tracker already finalized")
         for track_id in sorted(self.pending_fills):
@@ -351,8 +345,12 @@ class Tracker:
         for track in self.store.tracks.values():
             track.finish()
             if track.committed_length() >= self.config.min_track_len:
-                track.normalize_order()
+                # Only a fill commits out of frame order.
+                if FILL_CONFIDENCE in track.confidences.values():
+                    track.normalize_order()
                 kept.append(track)
         self.finalized = True
+        self.live = []
+        self.means, self.cov_terms = np.empty((0, 2 * MEAS_DIM)), np.empty((0, 3))
         self.ecc_workspace = EccWorkspace()
         return sorted(kept, key=lambda t: t.track_id)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import motrack.pipeline
 from motrack.alignment import MIN_ALIGN_DIM, AffineWarp, EccError, ecc_align
@@ -28,6 +29,10 @@ def run(packets, config=None, **kwargs):
     return tracker.finalize(), events
 
 
+def filled_frames(track):
+    return {f for f, c in track.confidences.items() if c == FILL_CONFIDENCE}
+
+
 def linear_packets(n_frames, cx0=200.0, cy0=270.0, vx=4.0, vy=0.0, skip=()):
     out = []
     for f in range(1, n_frames + 1):
@@ -45,7 +50,7 @@ def test_single_target_single_track():
     t = tracks[0]
     assert t.track_id == 1
     assert t.sorted_frames() == list(range(1, 11))
-    assert t.filled_frames == set()
+    assert filled_frames(t) == set()
     assert all(c == 0.9 for c in t.confidences.values())
 
 
@@ -76,10 +81,7 @@ def test_occlusion_gap_is_filled_with_sentinel_confidence():
     assert len(tracks) == 1
     t = tracks[0]
     assert t.sorted_frames() == list(range(1, 41))
-    assert t.filled_frames == skip
-    for f in skip:
-        assert t.confidences[f] == FILL_CONFIDENCE
-    assert t.is_contiguous()
+    assert filled_frames(t) == skip
     fills = [fe for ev in events for fe in ev.fills]
     assert len(fills) == 1 and fills[0].count == len(skip)
 
@@ -88,7 +90,7 @@ def test_thirty_frame_occlusion_reconnects_same_id():
     skip = set(range(21, 51))
     tracks, events = run(linear_packets(80, vx=2.0, skip=skip))
     assert len(tracks) == 1
-    assert tracks[0].filled_frames == skip
+    assert filled_frames(tracks[0]) == skip
     recon = [ev.reconnections for ev in events if ev.reconnections]
     assert recon == [[1]]
 
@@ -120,7 +122,7 @@ def test_dying_coast_leaves_no_trace():
     assert len(tracks) == 1
     t = tracks[0]
     assert t.sorted_frames() == list(range(1, 11))
-    assert t.filled_frames == set()
+    assert filled_frames(t) == set()
     expired = [ev.expirations for ev in events if ev.expirations]
     assert expired == [[1]]
 
@@ -151,11 +153,10 @@ def test_every_committed_box_is_detection_or_fill():
         fed[f] = [d.box for d in dets]
     tracks, _ = run(packets)
     for t in tracks:
-        assert t.is_contiguous()
+        frames = t.sorted_frames()
+        assert frames == list(range(frames[0], frames[-1] + 1))
         for f, box in t.history.items():
-            if f in t.filled_frames:
-                assert t.confidences[f] == FILL_CONFIDENCE
-            else:
+            if t.confidences[f] != FILL_CONFIDENCE:
                 assert any(box == b for b in fed[f])
 
 
@@ -209,25 +210,6 @@ def test_confidence_floor_filters_detections():
     ]
     tracks, _ = run(packets, config)
     assert tracks == []
-
-
-def test_refine_hook_sees_and_replaces_detections():
-    calls = []
-
-    def keep_first(dets, store):
-        calls.append(len(dets))
-        return dets[:1]
-
-    packets = []
-    for f in range(1, 11):
-        packets.append(
-            FramePacket(
-                frame=f, detections=[det(f, 200.0, 200.0), det(f, 600.0, 300.0)]
-            )
-        )
-    tracks, _ = run(packets, refine_detections=keep_first)
-    assert calls == [2] * 10
-    assert len(tracks) == 1
 
 
 def test_supplied_warp_is_logged_and_applied():
@@ -285,9 +267,10 @@ def test_collapsing_warp_leaves_only_that_track_unwarped(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "warp degenerated track 1 at frame 2; coasting without it"
     ]
-    square, tall = tracker.store.tracks[1], tracker.store.tracks[2]
-    assert square.state.mean[:4].tolist() == [200.0, 270.0, 60.0, 60.0]
-    assert tall.state.mean[:4].tolist() == [600.0 - 270.0, 270.0, 60.0, 120.0]
+    assert [t.track_id for t in tracker.live] == [1, 2]
+    square, tall = tracker.means[:, :4].tolist()
+    assert square == [200.0, 270.0, 60.0, 60.0]
+    assert tall == [600.0 - 270.0, 270.0, 60.0, 120.0]
 
 
 def test_tracks_come_back_sorted_and_frozen():
@@ -302,6 +285,35 @@ def test_tracks_come_back_sorted_and_frozen():
     for t in tracks:
         assert t.status is TrackStatus.FINISHED
         assert list(t.history) == sorted(t.history)
+
+
+def assert_table_and_histories_agree(tracker):
+    """The table's rows are the unfinished tracks in creation order; each
+    track's last frame is its latest committed frame, and each fill lies
+    strictly between two of its detection-backed frames."""
+    tracks = list(tracker.store.tracks.values())
+    unfinished = [t.track_id for t in tracks if t.status is not TrackStatus.FINISHED]
+    assert [t.track_id for t in tracker.live] == unfinished
+    assert len(tracker.means) == len(tracker.cov_terms) == len(tracker.live)
+    for t in tracks:
+        assert t.last_frame == max(t.history)
+        frames = list(t.history)
+        assert len(set(frames)) == len(frames) and list(t.confidences) == frames
+        backed = sorted(f for f, c in t.confidences.items() if c != FILL_CONFIDENCE)
+        assert all(backed[0] < f < backed[-1] for f in filled_frames(t))
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=15, deadline=None)
+def test_track_table_stays_in_step_with_the_tracks(seed):
+    scenario = generate(random_scenario(seed), seed)
+    tracker = Tracker(frame_size=scenario.frame_size)
+    for packet in scenario.packets():
+        tracker.step(packet)
+        assert_table_and_histories_agree(tracker)
+    tracker.finalize()
+    assert_table_and_histories_agree(tracker)
+    assert tracker.live == [] and tracker.means.shape == (0, 8)
 
 
 def load_tracing(monkeypatch):
@@ -455,18 +467,10 @@ def tracker_state(tracker):
         {f: w.matrix.tolist() for f, w in store.motion_log.warps.items()},
         list(store.motion_log.fallback_frames),
         sorted(tracker.pending_fills),
-        [
-            (
-                t.track_id,
-                t.status,
-                dict(t.history),
-                t.deactivated_len,
-                t.window,
-                t.state.mean.tolist(),
-                t.state.cov_terms.tolist(),
-            )
-            for t in store.tracks.values()
-        ],
+        [(t.track_id, t.status, dict(t.history), t.last_frame) for t in store.tracks.values()],
+        [t.track_id for t in tracker.live],
+        tracker.means.tolist(),
+        tracker.cov_terms.tolist(),
     )
 
 

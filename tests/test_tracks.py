@@ -1,28 +1,37 @@
 import pytest
 
-from motrack.geometry import BoundingBox
+from motrack.geometry import BoundingBox, Detection
 from motrack.kalman import MotionParams, km_init
+from motrack.pipeline import FramePacket, Tracker
 from motrack.tracks import FILL_CONFIDENCE, TrackRecord, TrackStatus
+
+BOX = BoundingBox(100, 100, 160, 220)
 
 
 def make_track(track_id=1, start=5):
-    box = BoundingBox(100, 100, 160, 220)
-    state = km_init(box, MotionParams())
-    t = TrackRecord(track_id=track_id, state=state, start_frame=start)
-    t.commit(start, box, 0.9)
+    t = TrackRecord(track_id=track_id, start_frame=start)
+    t.commit(start, BOX, 0.9)
     return t
+
+
+def snapshot():
+    return km_init(BOX, MotionParams())
 
 
 def test_track_ids_are_positive():
     with pytest.raises(ValueError):
-        TrackRecord(track_id=0, state=km_init(BoundingBox(0, 0, 1, 1), MotionParams()), start_frame=1)
+        TrackRecord(track_id=0, start_frame=1)
 
 
 def test_commit_and_last_frame():
     t = make_track(start=5)
     t.commit(6, BoundingBox(101, 100, 161, 220), 0.8)
     assert t.last_frame == 6
-    assert t.committed_length() == 2
+    # A late fill lands before the last frame and leaves it.
+    t.commit(9, BoundingBox(104, 100, 164, 220), 0.8)
+    t.commit_fill(7, BoundingBox(102, 100, 162, 220))
+    assert t.last_frame == 9
+    assert t.committed_length() == 4
     assert t.confidences[6] == 0.8
 
 
@@ -35,20 +44,19 @@ def test_double_commit_rejected():
 def test_commit_fill_marks_frame_and_confidence():
     t = make_track(start=5)
     t.commit_fill(6, BoundingBox(102, 100, 162, 220))
-    assert 6 in t.filled_frames
+    assert 6 in t.history
     assert t.confidences[6] == FILL_CONFIDENCE
 
 
 def test_lifecycle_transitions():
     t = make_track()
     assert t.status is TrackStatus.ACTIVE
-    t.deactivate(5, t.state.copy())
+    t.deactivate(snapshot())
     assert t.status is TrackStatus.DEACTIVATED
-    assert t.deactivation_frame == 5
     assert t.snapshot is not None
     t.reactivate()
     assert t.status is TrackStatus.ACTIVE
-    assert t.snapshot is None and t.deactivation_frame is None
+    assert t.snapshot is None
     t.finish()
     assert t.status is TrackStatus.FINISHED
 
@@ -57,9 +65,9 @@ def test_illegal_transitions_raise():
     t = make_track()
     with pytest.raises(ValueError):
         t.reactivate()  # never deactivated
-    t.deactivate(5, t.state.copy())
+    t.deactivate(snapshot())
     with pytest.raises(ValueError):
-        t.deactivate(6, t.state.copy())
+        t.deactivate(snapshot())
 
 
 def test_finished_history_is_frozen():
@@ -69,28 +77,30 @@ def test_finished_history_is_frozen():
         t.commit(9, BoundingBox(0, 0, 10, 10), 0.5)
 
 
-def test_hold_requires_deactivation():
-    t = make_track()
-    with pytest.raises(ValueError):
-        t.hold()
+def step_one_target(n_frames, skip):
+    """Step a tracker over one static target that goes undetected on the
+    frames in `skip`; yield each frame and the target's track after it."""
+    tracker = Tracker(frame_size=(960.0, 540.0))
+    for f in range(1, n_frames + 1):
+        dets = [] if f in skip else [Detection(box=BOX, confidence=0.9, frame=f)]
+        tracker.step(FramePacket(frame=f, detections=dets))
+        yield f, tracker.store.tracks[1]
 
 
 def test_hold_buffer_tracks_miss_count():
-    t = make_track()
-    t.deactivate(5, t.state.copy())
-    for held in range(1, 9):
-        t.hold()
-        assert t.deactivated_len == held
-    # Holding commits nothing.
-    assert sorted(t.history) == [5]
+    # Coasting commits nothing, so the gap starts at the last committed
+    # frame and the miss count derived from it grows by one per frame.
+    for f, t in step_one_target(12, skip=range(6, 13)):
+        assert f - t.last_frame == max(f - 5, 0)
+        assert t.status is (TrackStatus.ACTIVE if f < 6 else TrackStatus.DEACTIVATED)
+    assert sorted(t.history) == [1, 2, 3, 4, 5]
 
 
 def test_miss_count_resets_on_reactivate():
-    t = make_track()
-    t.deactivate(5, t.state.copy())
-    t.hold()
-    t.reactivate()
-    assert t.deactivated_len == 0
+    for f, t in step_one_target(9, skip={6, 7}):
+        pass
+    assert t.status is TrackStatus.ACTIVE and t.snapshot is None
+    assert t.last_frame == 9
 
 
 def test_normalize_order_sorts_late_fills():
@@ -104,19 +114,7 @@ def test_normalize_order_sorts_late_fills():
     assert list(t.confidences) == [5, 6, 7, 8]
 
 
-def test_is_contiguous():
-    t = make_track(start=5)
-    t.commit(6, BoundingBox(101, 100, 161, 220), 0.9)
-    assert t.is_contiguous()
-    t.commit(9, BoundingBox(104, 100, 164, 220), 0.9)
-    assert not t.is_contiguous()
-    t.commit_fill(7, BoundingBox(102, 100, 162, 220))
-    t.commit_fill(8, BoundingBox(103, 100, 163, 220))
-    assert t.is_contiguous()
-
-
 def test_empty_history_edge():
-    state = km_init(BoundingBox(0, 0, 10, 10), MotionParams())
-    t = TrackRecord(track_id=3, state=state, start_frame=7)
+    t = TrackRecord(track_id=3, start_frame=7)
     assert t.last_frame == 6
-    assert t.is_contiguous()
+    assert t.sorted_frames() == []
