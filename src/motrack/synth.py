@@ -299,7 +299,9 @@ def random_scenario(
         occlusions = []
         if rng.random() < 0.5 and end - start > 30:
             length = int(rng.integers(8, 22))
-            a = int(rng.integers(start + 8, end - length - 4))
+            # A short life and a long window leave no room after the
+            # margins; the window then opens at the earliest frame.
+            a = int(rng.integers(start + 8, max(start + 9, end - length - 4)))
             occlusions.append((a, a + length - 1))
         targets.append(
             TargetSpec(

@@ -261,6 +261,17 @@ def test_generated_detections_stay_in_frame():
                 assert d.box.x2 <= spec.width and d.box.y2 <= spec.height
 
 
+def test_random_scenario_fits_long_occlusions_in_short_lives():
+    # Seed 4869 draws a 21-frame window for a target that lives 31
+    # frames, which leaves no room between the margins.
+    spec = random_scenario(4869)
+    windows = [(t, w) for t in spec.targets for w in t.occlusions]
+    assert windows
+    for t, (a, b) in windows:
+        assert t.start_frame < a <= b < t.end_frame
+    generate(spec, 4869)
+
+
 def test_occlusion_windows_hide_detections_not_truth():
     spec = ScenarioSpec(
         frame_count=30,
