@@ -108,7 +108,10 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     if ix <= 0 or iy <= 0:
         return 0.0
     inter = ix * iy
-    return inter / (a.area + b.area - inter)
+    # The areas inline: `area` goes through two more property calls.
+    area_a = (a.x2 - a.x1) * (a.y2 - a.y1)
+    area_b = (b.x2 - b.x1) * (b.y2 - b.y1)
+    return inter / (area_a + area_b - inter)
 
 
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:

@@ -4,17 +4,40 @@ Record layout: frame,id,x,y,w,h,conf,a,b,c with x,y the top-left corner.
 Detection files carry id = -1. Output geometry is rounded to 2 decimal
 places; boxes synthesized by gap filling are written with conf = -1 so
 they can be told apart from detection-backed boxes.
+
+The readers skip blank lines and refuse, with a `ValueError` naming the
+file's `path:line`, a line with fewer than 7 fields, a field that is not
+a number, a frame or id that is infinite or NaN, a frame below 1, a box
+that is not finite, and a width or height that is not positive.
+`read_tracks` also refuses a second record for the same (id, frame).
+`read_detections` clamps confidences into [0, 1]. The writers refuse a
+frame below 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
+from typing import Callable
 
 from .geometry import BoundingBox, Detection
 from .pipeline import FramePacket
 from .tracks import TrackRecord
+
+
+def _check_record(frame: int, x: float, y: float, w: float, h: float) -> None:
+    """Raise ValueError unless frame >= 1 and (x, y, w, h) is a finite box
+    of positive size: the checks on every record read or written."""
+    if frame < 1:
+        raise ValueError(f"frame must be >= 1, got {frame}")
+    # Chained comparisons, as in BoundingBox: NaN fails every one.
+    inf = math.inf
+    if not (-inf < x < inf and -inf < y < inf and -inf < w < inf and -inf < h < inf):
+        raise ValueError(f"non-finite box ({x}, {y}, {w}, {h})")
+    if w <= 0 or h <= 0:
+        raise ValueError(f"non-positive box size {w}x{h}")
 
 
 @dataclass(frozen=True)
@@ -31,53 +54,42 @@ class MotRecord:
     c: float = -1.0
 
     def __post_init__(self) -> None:
-        if self.frame < 1:
-            raise ValueError(f"frame must be >= 1, got {self.frame}")
-        # Chained comparisons, as in BoundingBox: NaN fails every one.
-        inf = math.inf
-        if not (
-            -inf < self.x < inf and -inf < self.y < inf
-            and -inf < self.w < inf and -inf < self.h < inf
-        ):
-            raise ValueError(f"non-finite box ({self.x}, {self.y}, {self.w}, {self.h})")
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"non-positive box size {self.w}x{self.h}")
+        _check_record(self.frame, self.x, self.y, self.w, self.h)
 
     def box(self) -> BoundingBox:
         return BoundingBox(self.x, self.y, self.x + self.w, self.y + self.h)
 
-    def line(self) -> str:
-        return (
-            f"{self.frame},{self.track_id},{self.x:.2f},{self.y:.2f},"
-            f"{self.w:.2f},{self.h:.2f},{self.confidence:.2f},"
-            f"{self.a:g},{self.b:g},{self.c:g}"
-        )
+
+def _parse(path: str | Path, add: Callable[..., None]) -> None:
+    """Check each non-blank line and call
+    `add(frame, track_id, x, y, w, h, conf, extra)` with its values, where
+    `extra` holds the up to three numbers after conf. A ValueError from
+    the checks or from `add` is raised again naming `path:line`."""
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        parts = line.split(",")
+        if len(parts) < 7:
+            if not line.strip():
+                continue
+            raise ValueError(f"{path}:{lineno}: expected >= 7 fields, got {len(parts)}")
+        try:
+            # int() of an infinite float raises OverflowError, of NaN ValueError.
+            frame = int(float(parts[0]))
+            track_id = int(float(parts[1]))
+            x, y, w, h, conf, *extra = map(float, parts[2:10])
+            _check_record(frame, x, y, w, h)
+            add(frame, track_id, x, y, w, h, conf, extra)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
 
 
 def read_mot(path: str | Path) -> list[MotRecord]:
     """Parse a MOT text file; malformed lines fail hard with their number."""
     records: list[MotRecord] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) < 7:
-            raise ValueError(f"{path}:{lineno}: expected >= 7 fields, got {len(parts)}")
-        try:
-            frame = int(float(parts[0]))
-            track_id = int(float(parts[1]))
-            x, y, w, h, conf = (float(p) for p in parts[2:7])
-            extra = [float(p) for p in parts[7:10]]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        extra += [-1.0] * (3 - len(extra))
-        try:
-            records.append(
-                MotRecord(frame, track_id, x, y, w, h, conf, *extra)
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+
+    def add(frame, track_id, x, y, w, h, conf, extra):
+        records.append(MotRecord(frame, track_id, x, y, w, h, conf, *extra))
+
+    _parse(path, add)
     return records
 
 
@@ -88,54 +100,53 @@ def read_detections(path: str | Path) -> list[FramePacket]:
     Raw confidences are clamped into [0, 1]: real detector files carry
     unbounded scores, while everything downstream expects probabilities.
     """
-    records = read_mot(path)
-    if not records:
-        return []
     by_frame: dict[int, list[Detection]] = {}
-    for rec in records:
-        conf = min(max(rec.confidence, 0.0), 1.0)
-        by_frame.setdefault(rec.frame, []).append(
-            Detection(rec.box(), conf, rec.frame)
+
+    def add(frame, track_id, x, y, w, h, conf, extra):
+        box = BoundingBox(x, y, x + w, y + h)
+        by_frame.setdefault(frame, []).append(
+            Detection(box, min(max(conf, 0.0), 1.0), frame)
         )
+
+    _parse(path, add)
+    if not by_frame:
+        return []
     last = max(by_frame)
     return [FramePacket(f, by_frame.get(f, [])) for f in range(1, last + 1)]
 
 
 def read_tracks(path: str | Path) -> dict[int, dict[int, BoundingBox]]:
     """Load a result/ground-truth file into trajectory form:
-    {track_id: {frame: box}}."""
+    {track_id: {frame: box}}. A second record for one (id, frame) is
+    refused: keeping either would silently drop a box."""
     trajectories: dict[int, dict[int, BoundingBox]] = {}
-    for rec in read_mot(path):
-        trajectories.setdefault(rec.track_id, {})[rec.frame] = rec.box()
+
+    def add(frame, track_id, x, y, w, h, conf, extra):
+        history = trajectories.setdefault(track_id, {})
+        if frame in history:
+            raise ValueError(f"second record for id {track_id} at frame {frame}")
+        history[frame] = BoundingBox(x, y, x + w, y + h)
+
+    _parse(path, add)
     return trajectories
 
 
-def tracks_to_records(tracks: list[TrackRecord]) -> list[MotRecord]:
-    records = []
-    for track in tracks:
-        for frame in track.sorted_frames():
-            box = track.history[frame]
-            records.append(
-                MotRecord(
-                    frame=frame,
-                    track_id=track.track_id,
-                    x=box.x1,
-                    y=box.y1,
-                    w=box.width,
-                    h=box.height,
-                    confidence=track.confidences.get(frame, 1.0),
-                )
-            )
-    records.sort(key=lambda r: (r.frame, r.track_id))
-    return records
-
-
-def format_tracks(tracks: list[TrackRecord]) -> str:
-    return "".join(rec.line() + "\n" for rec in tracks_to_records(tracks))
+def _line(frame: int, track_id: int, box: BoundingBox, confidence: float) -> str:
+    """One output line; refuses what `_check_record` refuses."""
+    x, y = box.x1, box.y1
+    w, h = box.x2 - x, box.y2 - y
+    _check_record(frame, x, y, w, h)
+    return f"{frame},{track_id},{x:.2f},{y:.2f},{w:.2f},{h:.2f},{confidence:.2f},-1,-1,-1\n"
 
 
 def write_tracks(tracks: list[TrackRecord], path: str | Path) -> None:
-    Path(path).write_text(format_tracks(tracks))
+    rows = [
+        (frame, track.track_id, box, track.confidences.get(frame, 1.0))
+        for track in tracks
+        for frame, box in track.history.items()
+    ]
+    rows.sort(key=itemgetter(0, 1))
+    Path(path).write_text("".join([_line(*row) for row in rows]))
 
 
 def write_trajectories(
@@ -144,36 +155,22 @@ def write_trajectories(
     confidence: float = 1.0,
 ) -> None:
     """Write {id: {frame: box}} form (ground truth, converted results)."""
-    records = []
-    for tid, history in trajectories.items():
-        for frame, box in history.items():
-            records.append(
-                MotRecord(
-                    frame=frame,
-                    track_id=tid,
-                    x=box.x1,
-                    y=box.y1,
-                    w=box.width,
-                    h=box.height,
-                    confidence=confidence,
-                )
-            )
-    records.sort(key=lambda r: (r.frame, r.track_id))
-    Path(path).write_text("".join(rec.line() + "\n" for rec in records))
+    rows = [
+        (frame, tid, box)
+        for tid, history in trajectories.items()
+        for frame, box in history.items()
+    ]
+    rows.sort(key=itemgetter(0, 1))
+    Path(path).write_text("".join([_line(*row, confidence) for row in rows]))
 
 
 def write_detections(packets: list[FramePacket], path: str | Path) -> None:
-    lines = []
-    for packet in packets:
-        for det in packet.detections:
-            rec = MotRecord(
-                frame=packet.frame,
-                track_id=-1,
-                x=det.box.x1,
-                y=det.box.y1,
-                w=det.box.width,
-                h=det.box.height,
-                confidence=det.confidence,
-            )
-            lines.append(rec.line() + "\n")
-    Path(path).write_text("".join(lines))
+    Path(path).write_text(
+        "".join(
+            [
+                _line(packet.frame, -1, det.box, det.confidence)
+                for packet in packets
+                for det in packet.detections
+            ]
+        )
+    )

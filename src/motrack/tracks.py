@@ -79,9 +79,6 @@ class TrackRecord:
     def finish(self) -> None:
         self.status = TrackStatus.FINISHED
 
-    def sorted_frames(self) -> list[int]:
-        return sorted(self.history)
-
     def committed_length(self) -> int:
         return len(self.history)
 

@@ -49,7 +49,7 @@ def test_single_target_single_track():
     assert len(tracks) == 1
     t = tracks[0]
     assert t.track_id == 1
-    assert t.sorted_frames() == list(range(1, 11))
+    assert sorted(t.history) == list(range(1, 11))
     assert filled_frames(t) == set()
     assert all(c == 0.9 for c in t.confidences.values())
 
@@ -70,7 +70,7 @@ def test_two_crossing_targets_keep_their_ids():
     assert len(tracks) == 2
     # Each track's x must stay monotone; a swap would fold it back.
     for t in tracks:
-        xs = [t.history[f].x1 for f in t.sorted_frames()]
+        xs = [t.history[f].x1 for f in sorted(t.history)]
         deltas = [b - a for a, b in zip(xs, xs[1:])]
         assert all(d > 0 for d in deltas) or all(d < 0 for d in deltas)
 
@@ -80,7 +80,7 @@ def test_occlusion_gap_is_filled_with_sentinel_confidence():
     tracks, events = run(linear_packets(40, skip=skip))
     assert len(tracks) == 1
     t = tracks[0]
-    assert t.sorted_frames() == list(range(1, 41))
+    assert sorted(t.history) == list(range(1, 41))
     assert filled_frames(t) == skip
     fills = [fe for ev in events for fe in ev.fills]
     assert len(fills) == 1 and fills[0].count == len(skip)
@@ -121,7 +121,7 @@ def test_dying_coast_leaves_no_trace():
     tracks, events = run(packets, TrackerConfig(l_max=6.0))
     assert len(tracks) == 1
     t = tracks[0]
-    assert t.sorted_frames() == list(range(1, 11))
+    assert sorted(t.history) == list(range(1, 11))
     assert filled_frames(t) == set()
     expired = [ev.expirations for ev in events if ev.expirations]
     assert expired == [[1]]
@@ -132,9 +132,9 @@ def test_expiry_respects_the_window():
     # shorter than l_max reconnects and a longer one expires.
     config = TrackerConfig(l_max=8.0)
     tracks, _ = run(linear_packets(30, vx=0.5, skip=set(range(11, 19))), config)
-    assert len(tracks) == 1 and tracks[0].sorted_frames() == list(range(1, 31))
+    assert len(tracks) == 1 and sorted(tracks[0].history) == list(range(1, 31))
     tracks, _ = run(linear_packets(30, vx=0.5, skip=set(range(11, 21))), config)
-    assert [t.sorted_frames() for t in tracks] == [
+    assert [sorted(t.history) for t in tracks] == [
         list(range(1, 11)),
         list(range(21, 31)),
     ]
@@ -153,7 +153,7 @@ def test_every_committed_box_is_detection_or_fill():
         fed[f] = [d.box for d in dets]
     tracks, _ = run(packets)
     for t in tracks:
-        frames = t.sorted_frames()
+        frames = sorted(t.history)
         assert frames == list(range(frames[0], frames[-1] + 1))
         for f, box in t.history.items():
             if t.confidences[f] != FILL_CONFIDENCE:

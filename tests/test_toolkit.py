@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motrack.bench import FillRow, GatingRow, bench_filling, fill_means, write_csv
 from motrack.cli import main
@@ -11,12 +12,14 @@ from motrack.evaluation import (
     evaluate_many,
     trajectories_from_tracks,
 )
-from motrack.geometry import BoundingBox
+from motrack.geometry import BoundingBox, Detection
 from motrack.mot_files import (
     MotRecord,
     read_detections,
     read_mot,
     read_tracks,
+    write_detections,
+    write_tracks,
     write_trajectories,
 )
 from motrack.pipeline import FramePacket, Tracker
@@ -28,6 +31,7 @@ from motrack.synth import (
     occlusion_scenario,
     random_scenario,
 )
+from motrack.tracks import TrackRecord
 
 
 def box(x, y, w=50.0, h=100.0):
@@ -111,45 +115,211 @@ def test_read_detections_empty_file(tmp_path):
     assert read_detections(path) == []
 
 
-def test_write_read_round_trip_within_rounding(tmp_path):
-    trajectories = {
-        1: {f: box(100.0 + 3.333 * f, 200.0 + 0.777 * f) for f in range(1, 6)},
-        2: {f: box(400.0 - 2.115 * f, 180.0, 61.3, 111.7) for f in range(1, 6)},
-    }
-    path = tmp_path / "out.txt"
-    write_trajectories(trajectories, path)
-    back = read_tracks(path)
-    assert set(back) == {1, 2}
-    for tid, history in trajectories.items():
-        for f, b in history.items():
-            got = back[tid][f]
-            assert abs(got.x1 - b.x1) <= 0.01
-            assert abs(got.y1 - b.y1) <= 0.01
-            assert abs(got.width - b.width) <= 0.011
-            assert abs(got.height - b.height) <= 0.011
-
-
 def test_tracker_output_file_marks_fills(tmp_path):
     packets = []
     for f in range(1, 21):
         dets = []
         if not 8 <= f <= 12:
             b = box(100.0 + 4.0 * f, 200.0)
-            from motrack.geometry import Detection
-
             dets.append(Detection(b, 0.9, f))
         packets.append(FramePacket(frame=f, detections=dets))
     tracker = Tracker(frame_size=(960.0, 540.0))
     for p in packets:
         tracker.step(p)
-    from motrack.mot_files import write_tracks
-
     path = tmp_path / "res.txt"
     write_tracks(tracker.finalize(), path)
     records = read_mot(path)
     assert len(records) == 20
     fill_confs = {r.frame: r.confidence for r in records if r.confidence == -1.0}
     assert set(fill_confs) == {8, 9, 10, 11, 12}
+
+
+ALL_READERS = (read_mot, read_detections, read_tracks)
+
+# Each bad line follows a good one, "1,1,10,10,5,5,1", so every refusal
+# must name line 2 of its file.
+REFUSED_LINES = [
+    ("few-fields", "1,2,3", ALL_READERS),
+    ("non-numeric", "2,1,x,10,5,5,1", ALL_READERS),
+    ("frame-zero", "0,1,10,10,5,5,1", ALL_READERS),
+    ("frame-inf", "inf,1,10,10,5,5,1", ALL_READERS),
+    ("frame-overflow", "1e400,1,10,10,5,5,1", ALL_READERS),
+    ("frame-nan", "nan,1,10,10,5,5,1", ALL_READERS),
+    ("id-inf", "2,-inf,10,10,5,5,1", ALL_READERS),
+    ("id-nan", "2,nan,10,10,5,5,1", ALL_READERS),
+    ("x-inf", "2,1,inf,10,5,5,1", ALL_READERS),
+    ("h-nan", "2,1,10,10,5,nan,1", ALL_READERS),
+    ("width-zero", "2,1,10,10,0,5,1", ALL_READERS),
+    ("height-negative", "2,1,10,10,5,-5,1", ALL_READERS),
+    # x + w rounds back to x: no box to build, though each field passes.
+    ("box-collapses", "2,1,1e20,10,5,5,1", (read_detections, read_tracks)),
+    ("confidence-nan", "2,-1,10,10,5,5,nan", (read_detections,)),
+    ("duplicate-id-frame", "1,1,90,10,5,5,1", (read_tracks,)),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, line",
+    [
+        pytest.param(reader, line, id=f"{reader.__name__}-{name}")
+        for name, line, readers in REFUSED_LINES
+        for reader in readers
+    ],
+)
+def test_readers_refuse_bad_lines_naming_path_and_line(tmp_path, reader, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"1,1,10,10,5,5,1\n{line}\n")
+    with pytest.raises(ValueError, match=r"bad\.txt:2: "):
+        reader(path)
+
+
+def test_detection_files_may_repeat_their_id(tmp_path):
+    path = tmp_path / "det.txt"
+    path.write_text("1,-1,10,10,5,5,0.9\n1,-1,10,10,5,5,0.9\n")
+    assert len(read_detections(path)[0].detections) == 2
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (0, 1, 10.0, 10.0, 5.0, 5.0),
+        (1, 1, float("nan"), 10.0, 5.0, 5.0),
+        (1, 1, 10.0, 10.0, 5.0, 0.0),
+    ],
+    ids=["frame-zero", "x-nan", "height-zero"],
+)
+def test_mot_record_checks_direct_construction(fields):
+    with pytest.raises(ValueError):
+        MotRecord(*fields)
+
+
+mot_boxes = st.builds(
+    box, st.floats(-1e4, 1e4), st.floats(-1e4, 1e4), st.floats(0.5, 1e3), st.floats(0.5, 1e3)
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(1, 10**6),
+        st.dictionaries(st.integers(1, 10**5), mot_boxes, min_size=1, max_size=5),
+        max_size=5,
+    )
+)
+def test_write_read_round_trip_within_rounding(tmp_path_factory, trajectories):
+    path = tmp_path_factory.mktemp("mot") / "gt.txt"
+    write_trajectories(trajectories, path)
+    back = read_tracks(path)
+    assert {tid: set(h) for tid, h in back.items()} == {
+        tid: set(h) for tid, h in trajectories.items()
+    }
+    for tid, history in trajectories.items():
+        for f, b in history.items():
+            got = back[tid][f]
+            # Rounding to 2 decimals, plus the float error of x + w - x.
+            assert abs(got.x1 - b.x1) <= 0.005 + 1e-9
+            assert abs(got.y1 - b.y1) <= 0.005 + 1e-9
+            assert abs(got.width - b.width) <= 0.005 + 1e-9
+            assert abs(got.height - b.height) <= 0.005 + 1e-9
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.tuples(mot_boxes, st.floats(0.0, 1.0)), max_size=4), max_size=8))
+def test_detections_round_trip_keeps_frames_counts_and_confidences(
+    tmp_path_factory, frames
+):
+    packets = [
+        FramePacket(f, [Detection(b, conf, f) for b, conf in dets])
+        for f, dets in enumerate(frames, start=1)
+    ]
+    path = tmp_path_factory.mktemp("mot") / "det.txt"
+    write_detections(packets, path)
+    back = read_detections(path)
+    # Frames after the last detection are not in the file.
+    last = max((p.frame for p in packets if p.detections), default=0)
+    assert [p.frame for p in back] == list(range(1, last + 1))
+    assert [len(p.detections) for p in back] == [len(p.detections) for p in packets[:last]]
+    for read_back, written in zip(back, packets):
+        for got, det in zip(read_back.detections, written.detections):
+            assert got.frame == det.frame
+            assert 0.0 <= got.confidence <= 1.0
+            assert abs(got.confidence - det.confidence) <= 0.005 + 1e-12
+
+
+def pinned_tracks():
+    a = TrackRecord(track_id=7, start_frame=2)
+    a.commit(3, box(-12.345, -0.004, 50.125, 100.675), 0.905)
+    a.commit(2, box(1234567.891, 987654.3215, 60.0, 120.5), 1.0)
+    a.commit_fill(4, box(-0.001, 2.675, 0.015, 0.005))
+    b = TrackRecord(track_id=2, start_frame=3)
+    b.commit(3, box(0.125, 0.375, 33.3333, 44.4444), 0.5)
+    b.commit(5, box(-1e6, -2e6, 3e5, 4e5), 0.004)
+    return [a, b]
+
+
+PINNED_TRAJECTORIES = {
+    9: {2: box(-3.14159, 2.005, 10.0, 20.0), 1: box(1e6 + 0.125, -0.0049, 7.775, 8.885)},
+    4: {2: box(0.0, 0.0, 1.0, 1.0), 3: box(-999999.995, 5.5, 0.01, 0.02)},
+}
+
+PINNED_PACKETS = [
+    FramePacket(
+        1,
+        [
+            Detection(box(-5.5, 10.125, 40.0, 80.0), 0.905, 1),
+            Detection(box(1e6, 2e6, 12.345, 67.895), 0.0, 1),
+        ],
+    ),
+    FramePacket(2, []),
+    FramePacket(3, [Detection(box(-0.003, -0.005, 0.015, 0.025), 1.0, 3)]),
+]
+
+
+def test_writers_keep_their_bytes(tmp_path):
+    """Negative and -0.00 values, .xx5 ties, 1e6-scale coordinates, fill
+    confidence -1 and confidence 0.905, written byte for byte as before."""
+    path = tmp_path / "out.txt"
+    write_tracks(pinned_tracks(), path)
+    assert path.read_text() == (
+        "2,7,1234567.89,987654.32,60.00,120.50,1.00,-1,-1,-1\n"
+        "3,2,0.12,0.38,33.33,44.44,0.50,-1,-1,-1\n"
+        "3,7,-12.35,-0.00,50.12,100.67,0.91,-1,-1,-1\n"
+        "4,7,-0.00,2.67,0.01,0.00,-1.00,-1,-1,-1\n"
+        "5,2,-1000000.00,-2000000.00,300000.00,400000.00,0.00,-1,-1,-1\n"
+    )
+    write_trajectories(PINNED_TRAJECTORIES, path)
+    assert path.read_text() == (
+        "1,9,1000000.12,-0.00,7.78,8.88,1.00,-1,-1,-1\n"
+        "2,4,0.00,0.00,1.00,1.00,1.00,-1,-1,-1\n"
+        "2,9,-3.14,2.00,10.00,20.00,1.00,-1,-1,-1\n"
+        "3,4,-999999.99,5.50,0.01,0.02,1.00,-1,-1,-1\n"
+    )
+    write_trajectories(PINNED_TRAJECTORIES, path, confidence=-1.0)
+    assert path.read_text() == (
+        "1,9,1000000.12,-0.00,7.78,8.88,-1.00,-1,-1,-1\n"
+        "2,4,0.00,0.00,1.00,1.00,-1.00,-1,-1,-1\n"
+        "2,9,-3.14,2.00,10.00,20.00,-1.00,-1,-1,-1\n"
+        "3,4,-999999.99,5.50,0.01,0.02,-1.00,-1,-1,-1\n"
+    )
+    write_detections(PINNED_PACKETS, path)
+    assert path.read_text() == (
+        "1,-1,-5.50,10.12,40.00,80.00,0.91,-1,-1,-1\n"
+        "1,-1,1000000.00,2000000.00,12.34,67.90,0.00,-1,-1,-1\n"
+        "3,-1,-0.00,-0.01,0.01,0.03,1.00,-1,-1,-1\n"
+    )
+
+
+def test_writers_refuse_frame_zero(tmp_path):
+    b = BoundingBox(0.0, 0.0, 1.0, 1.0)
+    track = TrackRecord(track_id=1, start_frame=0)
+    track.commit(0, b, 1.0)
+    path = tmp_path / "out.txt"
+    with pytest.raises(ValueError, match="frame must be >= 1"):
+        write_tracks([track], path)
+    with pytest.raises(ValueError, match="frame must be >= 1"):
+        write_trajectories({1: {0: b}}, path)
+    with pytest.raises(ValueError, match="frame must be >= 1"):
+        write_detections([FramePacket(0, [Detection(b, 0.5, 0)])], path)
 
 
 # ----------------------------------------------------------------- evaluation

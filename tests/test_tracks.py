@@ -117,4 +117,4 @@ def test_normalize_order_sorts_late_fills():
 def test_empty_history_edge():
     t = TrackRecord(track_id=3, start_frame=7)
     assert t.last_frame == 6
-    assert t.sorted_frames() == []
+    assert sorted(t.history) == []
