@@ -1,11 +1,15 @@
 """CLEAR-MOT evaluation: MOTA, FP/FN, identity switches, and IDF1.
 
-Per-frame matching keeps an existing target/hypothesis pairing alive
-while its overlap stays above the threshold (continuity preference);
-the remaining boxes are matched by minimum-cost assignment on 1 - IoU
-restricted to pairs at or above the threshold. IDF1 comes from one
-global trajectory-level assignment maximizing per-frame co-occurrence;
-over several sequences it is computed from the summed counts.
+Each side's boxes on the frames both sides share go into one frame
+table, and one IoU matrix per block of frames serves both metrics.
+Per frame, a target keeps last frame's hypothesis while their overlap
+stays at or above the threshold (continuity preference); the remaining
+boxes are matched by minimum-cost assignment on 1 - IoU restricted to
+pairs at or above the threshold. A frame with boxes on one side only
+matches nothing, so FP and FN are the box totals less the matches. IDF1
+comes from one global trajectory-level assignment maximizing per-frame
+co-occurrence; over several sequences it is computed from the summed
+counts.
 """
 
 from __future__ import annotations
@@ -17,12 +21,12 @@ from scipy.optimize import linear_sum_assignment
 
 from .assignment import km_solve
 from .gating import GatedCost
-from .geometry import BoundingBox, boxes_to_array, iou, iou_matrix
+from .geometry import BoundingBox, iou_matrix
 
 Trajectories = dict[int, dict[int, BoundingBox]]
 
 # Upper bound on the same-frame GT x hypothesis pairs scored in one numpy
-# pass of the IDF1 count: large enough that per-call overhead vanishes on
+# IoU pass: large enough that per-call overhead vanishes on
 # sparse frames, small enough that the temporaries stay a few MiB.
 _IOU_BLOCK_PAIRS = 1 << 16
 
@@ -58,36 +62,6 @@ class EvalReport:
         )
 
 
-def _frame_view(trajectories: Trajectories) -> dict[int, dict[int, BoundingBox]]:
-    frames: dict[int, dict[int, BoundingBox]] = {}
-    for tid, history in trajectories.items():
-        for frame, box in history.items():
-            frames.setdefault(frame, {})[tid] = box
-    return frames
-
-
-def _match_frame(
-    gt_items: list[tuple[int, BoundingBox]],
-    hyp_items: list[tuple[int, BoundingBox]],
-    threshold: float,
-) -> list[tuple[int, int]]:
-    """Optimal IoU matching for one frame's leftover boxes; returns
-    (gt_id, hyp_id) pairs."""
-    if not gt_items or not hyp_items:
-        return []
-    g_boxes = boxes_to_array([b for _, b in gt_items])
-    h_boxes = boxes_to_array([b for _, b in hyp_items])
-    overlaps = iou_matrix(g_boxes, h_boxes)
-    rows, cols = np.nonzero(overlaps >= threshold)
-    cost = GatedCost(
-        len(gt_items), len(hyp_items), rows, cols, 1.0 - overlaps[rows, cols]
-    )
-    assignment = km_solve(cost)
-    return [
-        (gt_items[r][0], hyp_items[c][0]) for r, c in assignment.pairs
-    ]
-
-
 def evaluate(
     hypotheses: Trajectories,
     ground_truth: Trajectories,
@@ -104,54 +78,16 @@ def evaluate(
     total_gt = sum(len(h) for h in ground_truth.values())
     if total_gt == 0:
         raise ValueError("ground truth is empty")
-
-    gt_frames = _frame_view(ground_truth)
-    hyp_frames = _frame_view(hypotheses)
-    frames = sorted(set(gt_frames) | set(hyp_frames))
-
-    mapping: dict[int, int] = {}  # gt id -> last matched hyp id
-    fp = fn = ids = matches = 0
-
-    for frame in frames:
-        gt_here = gt_frames.get(frame, {})
-        hyp_here = hyp_frames.get(frame, {})
-
-        frame_pairs: list[tuple[int, int]] = []
-        used_hyp: set[int] = set()
-        leftover_gt: list[tuple[int, BoundingBox]] = []
-        for gid in sorted(gt_here):
-            prev = mapping.get(gid)
-            if (
-                prev is not None
-                and prev in hyp_here
-                and prev not in used_hyp
-                and iou(gt_here[gid], hyp_here[prev]) >= iou_match_threshold
-            ):
-                frame_pairs.append((gid, prev))
-                used_hyp.add(prev)
-            else:
-                leftover_gt.append((gid, gt_here[gid]))
-        leftover_hyp = [
-            (hid, box) for hid, box in sorted(hyp_here.items()) if hid not in used_hyp
-        ]
-
-        for gid, hid in _match_frame(leftover_gt, leftover_hyp, iou_match_threshold):
-            if gid in mapping and mapping[gid] != hid:
-                ids += 1
-            frame_pairs.append((gid, hid))
-            used_hyp.add(hid)
-
-        for gid, hid in frame_pairs:
-            mapping[gid] = hid
-        matches += len(frame_pairs)
-        fn += len(gt_here) - len(frame_pairs)
-        fp += len(hyp_here) - len(frame_pairs)
-
-    mota = 1.0 - (fp + fn + ids) / total_gt
     total_hyp = sum(len(h) for h in hypotheses.values())
-    idtp = _idtp(hypotheses, ground_truth, iou_match_threshold)
+
+    matches, ids, idtp = _shared_frame_counts(
+        hypotheses, ground_truth, iou_match_threshold
+    )
+    fp, fn = total_hyp - matches, total_gt - matches
     return EvalReport(
-        mota, _idf1(idtp, total_gt, total_hyp), fp, fn, ids, total_gt, matches,
+        1.0 - (fp + fn + ids) / total_gt,
+        _idf1(idtp, total_gt, total_hyp),
+        fp, fn, ids, total_gt, matches,
         idtp=idtp, hyp_boxes=total_hyp,
     )
 
@@ -179,10 +115,12 @@ def _box_rows(
 
 def _frame_table(
     frames: np.ndarray, positions: np.ndarray, boxes: np.ndarray, shared: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The boxes on the sorted `shared` frames as (F, K, 4) rows padded
-    with NaN, and the (F, K) id positions beside them. Boxes on other
-    frames are left out; K is the most boxes any shared frame holds."""
+    with NaN, the (F, K) id positions beside them, and the (F,) count of
+    boxes on each frame. A frame's boxes fill its first columns in
+    ascending id order. Boxes on other frames are left out; K is the most
+    boxes any shared frame holds."""
     rows = np.searchsorted(shared, frames)
     keep = shared[np.minimum(rows, len(shared) - 1)] == frames
     rows, positions, boxes = rows[keep], positions[keep], boxes[keep]
@@ -198,36 +136,79 @@ def _frame_table(
     table[rows, cols] = boxes
     ids = np.zeros((len(shared), width), dtype=np.int64)
     ids[rows, cols] = positions
-    return table, ids
+    return table, ids, per_row
 
 
-def _idtp(
+def _shared_frame_counts(
     hypotheses: Trajectories, ground_truth: Trajectories, threshold: float
-) -> int:
-    """ID true positives: the most co-occurring frames over one-to-one
-    GT/hypothesis id matchings (Ristani et al., 2016). A pair co-occurs on
-    a frame where both have a box with IoU at or above `threshold`."""
+) -> tuple[int, int, int]:
+    """CLEAR-MOT matches and identity switches, and IDF1's ID true
+    positives, from one IoU pass over the frames both sides have boxes on.
+
+    Per frame, a GT id keeps last frame's hypothesis while their IoU is at
+    or above `threshold`; GT ids claim in ascending order and the first
+    claim wins. The other boxes are matched by `km_solve` on 1 - IoU over
+    the pairs at or above `threshold`. IDTP is the most co-occurring
+    frames over one-to-one GT/hypothesis id matchings (Ristani et al.,
+    2016), where a pair co-occurs on a frame with IoU at or above
+    `threshold`."""
     gt_rows = _box_rows(ground_truth)
     hyp_rows = _box_rows(hypotheses)
     shared = np.intersect1d(gt_rows[0], hyp_rows[0])
     if len(shared) == 0:
-        return 0
-    g_boxes, g_ids = _frame_table(*gt_rows, shared)
-    h_boxes, h_ids = _frame_table(*hyp_rows, shared)
+        return 0, 0, 0
+    g_boxes, g_ids, g_count = _frame_table(*gt_rows, shared)
+    h_boxes, h_ids, h_count = _frame_table(*hyp_rows, shared)
 
     n_hyp = len(hypotheses)
-    step = max(1, _IOU_BLOCK_PAIRS // (g_ids.shape[1] * h_ids.shape[1]))
+    mapping: dict[int, int] = {}  # GT id position -> last matched hyp position
+    matches = ids = 0
     hits = []
+    step = max(1, _IOU_BLOCK_PAIRS // (g_ids.shape[1] * h_ids.shape[1]))
     for lo in range(0, len(shared), step):
         block = slice(lo, lo + step)
+        overlaps = iou_matrix(g_boxes[block], h_boxes[block])
         # NaN padding compares false, so only real same-frame pairs count.
-        f, gi, hi = np.nonzero(iou_matrix(g_boxes[block], h_boxes[block]) >= threshold)
+        hit = overlaps >= threshold
+        f, gi, hi = np.nonzero(hit)
         hits.append(g_ids[block][f, gi] * n_hyp + h_ids[block][f, hi])
+
+        # The continuity step stays in Python over the mask: per-frame
+        # numpy calls cost more than they save on frames of a few boxes.
+        for frame_iou, frame_hit, gids, hids, n_g, n_h in zip(
+            overlaps, hit, g_ids[block].tolist(), h_ids[block].tolist(),
+            g_count[block].tolist(), h_count[block].tolist(),
+        ):
+            column = {hid: c for c, hid in enumerate(hids[:n_h])}
+            used: set[int] = set()
+            left_g = []
+            for c, gid in enumerate(gids[:n_g]):
+                hc = column.get(mapping.get(gid))
+                if hc is not None and hc not in used and frame_hit[c, hc]:
+                    used.add(hc)
+                else:
+                    left_g.append(c)
+            matches += len(used)
+            left_h = [c for c in range(n_h) if c not in used]
+            if not (left_g and left_h):
+                continue
+            sub = frame_iou[np.ix_(left_g, left_h)]
+            rows, cols = np.nonzero(sub >= threshold)
+            cost = GatedCost(
+                len(left_g), len(left_h), rows, cols, 1.0 - sub[rows, cols]
+            )
+            for r, c in km_solve(cost).pairs:
+                gid, hid = gids[left_g[r]], hids[left_h[c]]
+                if mapping.get(gid, hid) != hid:
+                    ids += 1
+                mapping[gid] = hid
+                matches += 1
+
     counts = np.bincount(
         np.concatenate(hits), minlength=len(ground_truth) * n_hyp
     ).reshape(len(ground_truth), n_hyp)
     rows, cols = linear_sum_assignment(counts, maximize=True)
-    return int(counts[rows, cols].sum())
+    return matches, ids, int(counts[rows, cols].sum())
 
 
 def trajectories_from_tracks(tracks) -> Trajectories:

@@ -103,10 +103,6 @@ class EncodingMaps:
     grid: CellGrid
     layers: np.ndarray
 
-    @property
-    def k_layers(self) -> int:
-        return self.layers.shape[0]
-
 
 @dataclass
 class IntegralImage3D:

@@ -23,12 +23,17 @@ class BoundingBox:
     y2: float
 
     def __post_init__(self):
-        # One chained test covers NaN, infinities and empty extent.
+        # One chained test covers NaN, infinities and empty extent, and a
+        # width or height that overflows between finite corners.
         inf = math.inf
-        if not (-inf < self.x1 < self.x2 < inf and -inf < self.y1 < self.y2 < inf):
-            coords = (self.x1, self.y1, self.x2, self.y2)
-            kind = "degenerate" if all(map(math.isfinite, coords)) else "non-finite"
-            raise ValueError(f"{kind} box: ({self.x1}, {self.y1}, {self.x2}, {self.y2})")
+        x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
+        if not (
+            -inf < x1 < x2 < inf and -inf < y1 < y2 < inf
+            and x2 - x1 < inf and y2 - y1 < inf
+        ):
+            values = (x1, y1, x2, y2, x2 - x1, y2 - y1)
+            kind = "degenerate" if all(map(math.isfinite, values)) else "non-finite"
+            raise ValueError(f"{kind} box: ({x1}, {y1}, {x2}, {y2})")
 
     @property
     def width(self) -> float:
@@ -39,24 +44,8 @@ class BoundingBox:
         return self.y2 - self.y1
 
     @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
-
-    @classmethod
-    def from_array(cls, arr) -> "BoundingBox":
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]), float(arr[3]))
-
-    @classmethod
-    def from_xywh(cls, x: float, y: float, w: float, h: float) -> "BoundingBox":
-        """Top-left corner plus size, the MOT file convention."""
-        return cls(x, y, x + w, y + h)
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,7 +97,6 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     if ix <= 0 or iy <= 0:
         return 0.0
     inter = ix * iy
-    # The areas inline: `area` goes through two more property calls.
     area_a = (a.x2 - a.x1) * (a.y2 - a.y1)
     area_b = (b.x2 - b.x1) * (b.y2 - b.y1)
     return inter / (area_a + area_b - inter)

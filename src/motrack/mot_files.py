@@ -56,8 +56,6 @@ class MotRecord:
     def __post_init__(self) -> None:
         _check_record(self.frame, self.x, self.y, self.w, self.h)
 
-    def box(self) -> BoundingBox:
-        return BoundingBox(self.x, self.y, self.x + self.w, self.y + self.h)
 
 
 def _parse(path: str | Path, add: Callable[..., None]) -> None:

@@ -317,7 +317,7 @@ def test_filter_equals_dense_oracle(drawn, warp_name):
             single = iml_predict(state, warp, PARAMS)
         assert_state_equals_row(single, pred_means[i], pred_terms[i])
 
-    observed = np.stack([obs.as_array() for _, obs in drawn])
+    observed = np.array([(obs.x1, obs.y1, obs.x2, obs.y2) for _, obs in drawn])
     upd_means, upd_terms = update_states(pred_means, pred_terms, observed, PARAMS)
     for i, (_, obs) in enumerate(drawn):
         mean, cov = dense_kalman.update(pred_means[i], kron_cov(pred_terms[i]), obs, PARAMS)

@@ -270,7 +270,9 @@ def test_collapsing_warp_resets_both_fill_passes(caplog):
     assert "backward fill pass reset at frame 14" in messages
 
     assert sorted(frag) == list(req.missing_frames())
-    assert all(math.isfinite(v) for box in frag.values() for v in box.as_array())
+    assert all(
+        math.isfinite(v) for b in frag.values() for v in (b.x1, b.y1, b.x2, b.y2)
+    )
     # The backward pass restarts from the linear box at its reset frame.
     ca, cb = to_center_form(req.box_a), to_center_form(req.box_b)
     want = [a + 0.4 * (b - a) for a, b in zip(ca, cb)]

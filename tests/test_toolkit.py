@@ -56,7 +56,7 @@ def test_read_mot_fixture(tmp_path):
     assert len(records) == 5
     assert records[0] == MotRecord(1, 1, 100.0, 200.0, 50.0, 100.0, 1.0)
     assert records[4].confidence == -1.0
-    assert records[1].box() == BoundingBox(400.0, 180.0, 460.0, 290.0)
+    assert records[1] == MotRecord(1, 2, 400.0, 180.0, 60.0, 110.0, 0.9)
 
 
 def test_read_mot_skips_blank_lines(tmp_path):
