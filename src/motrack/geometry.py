@@ -23,17 +23,15 @@ class BoundingBox:
     y2: float
 
     def __post_init__(self):
-        # One chained test covers NaN, infinities and empty extent, and a
-        # width or height that overflows between finite corners.
+        # A difference of floats is finite only when both are, and nonzero
+        # only when they differ, so one test covers NaN, infinities, empty
+        # extent and a width or height that overflows between finite corners.
         inf = math.inf
-        x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
-        if not (
-            -inf < x1 < x2 < inf and -inf < y1 < y2 < inf
-            and x2 - x1 < inf and y2 - y1 < inf
-        ):
-            values = (x1, y1, x2, y2, x2 - x1, y2 - y1)
+        w, h = self.x2 - self.x1, self.y2 - self.y1
+        if not (0.0 < w < inf and 0.0 < h < inf):
+            values = (self.x1, self.y1, self.x2, self.y2, w, h)
             kind = "degenerate" if all(map(math.isfinite, values)) else "non-finite"
-            raise ValueError(f"{kind} box: ({x1}, {y1}, {x2}, {y2})")
+            raise ValueError(f"{kind} box: ({self.x1}, {self.y1}, {self.x2}, {self.y2})")
 
     @property
     def width(self) -> float:

@@ -57,7 +57,6 @@ class MotRecord:
         _check_record(self.frame, self.x, self.y, self.w, self.h)
 
 
-
 def _parse(path: str | Path, add: Callable[..., None]) -> None:
     """Check each non-blank line and call
     `add(frame, track_id, x, y, w, h, conf, extra)` with its values, where
