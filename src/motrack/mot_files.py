@@ -32,7 +32,7 @@ def _check_record(frame: int, x: float, y: float, w: float, h: float) -> None:
     of positive size: the checks on every record read or written."""
     if frame < 1:
         raise ValueError(f"frame must be >= 1, got {frame}")
-    # Chained comparisons, as in BoundingBox: NaN fails every one.
+    # Chained comparisons: NaN fails every one.
     inf = math.inf
     if not (-inf < x < inf and -inf < y < inf and -inf < w < inf and -inf < h < inf):
         raise ValueError(f"non-finite box ({x}, {y}, {w}, {h})")
