@@ -14,11 +14,9 @@ from .alignment import (
     EccParams,
     EccWorkspace,
     camera_intensity,
-    compose_warps,
     ecc_align,
     invert_warp,
     warp_box,
-    warp_image,
 )
 from .assignment import Assignment, km_solve
 from .config import TrackerConfig
@@ -113,7 +111,6 @@ __all__ = [
     "build_integral",
     "build_maps",
     "camera_intensity",
-    "compose_warps",
     "ecc_align",
     "evaluate",
     "evaluate_many",
@@ -142,7 +139,6 @@ __all__ = [
     "trajectories_from_tracks",
     "velocity_norm",
     "warp_box",
-    "warp_image",
     "write_detections",
     "write_pgm",
     "write_tracks",

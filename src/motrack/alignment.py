@@ -4,17 +4,17 @@ Estimates a 2x3 affine warp between consecutive grayscale frames by
 maximizing the enhanced correlation coefficient (zero-mean, unit-norm
 image correlation) with Gauss-Newton increments, coarse to fine over an
 image pyramid. Also provides warp application to boxes and points,
-inversion, composition, and a scalar camera-motion intensity derived
+inversion, and a scalar camera-motion intensity derived
 from the warp's distance (in cosine terms) from the identity.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .geometry import BoundingBox
 
@@ -120,6 +120,12 @@ class EccParams:
     working_width: int = 640
 
     def __post_init__(self) -> None:
+        # A float count (NaN included) passes a sign test but makes every
+        # ecc_align call fail in range(); bool is an int subclass.
+        for name in ("max_iterations", "pyramid_levels", "working_width"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
         # Written so that NaN, which fails every comparison and would
@@ -161,13 +167,6 @@ def invert_warp(warp: AffineWarp) -> AffineWarp:
     return AffineWarp(
         np.array([[ia, ib, -(ia * tx + ib * ty)], [ic, id_, -(ic * tx + id_ * ty)]])
     )
-
-
-def compose_warps(outer: AffineWarp, inner: AffineWarp) -> AffineWarp:
-    """Warp equal to applying `inner` first, then `outer`."""
-    a = outer.linear() @ inner.linear()
-    t = outer.linear() @ inner.offset() + outer.offset()
-    return AffineWarp(np.hstack([a, t[:, None]]))
 
 
 def camera_intensity(warp: AffineWarp) -> float:
@@ -219,46 +218,94 @@ def _scale_translation(warp: np.ndarray, factor: float) -> np.ndarray:
     return scaled
 
 
-def _shift_correlation(template: np.ndarray, image: np.ndarray, dx: int, dy: int) -> float:
-    """Zero-mean correlation of the template against the image shifted by
-    the integer offset (dx, dy), over the in-bounds support inside the
-    border margin; -1 when the support is too small or flat.
+def _rectangle_sums(table: np.ndarray, y0, y1, x0, x1) -> np.ndarray:
+    """Sums over the rectangles [y0, y1) x [x0, x1), one per pair of a
+    row bound (column vectors y0, y1) and a column bound (row vectors
+    x0, x1), read from a summed-area table with a leading zero row and
+    column."""
+    return table[y1, x1] - table[y0, x1] - table[y1, x0] + table[y0, x0]
 
-    Under a pure integer translation the support is a rectangle, so both
-    sides are plain slices, in the same row-major order as the points of
-    the support."""
+
+def _summed_area(a: np.ndarray) -> np.ndarray:
+    table = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
+    np.cumsum(np.cumsum(a, axis=0), axis=1, out=table[1:, 1:])
+    return table
+
+
+def _constant_rectangles(a: np.ndarray, y0, y1, x0, x1) -> np.ndarray:
+    """Whether each rectangle of `a` (bounds as for `_rectangle_sums`)
+    holds a single value: no two neighbours in it differ. Counted
+    exactly, where a variance from summed squares would round away from
+    zero."""
+    h, w = a.shape
+    across = _summed_area(a[:, 1:] != a[:, :-1])
+    down = _summed_area(a[1:] != a[:-1])
+    last_x = np.clip(x1 - 1, 0, w - 1)
+    last_y = np.clip(y1 - 1, 0, h - 1)
+    return (_rectangle_sums(across, y0, y1, np.minimum(x0, w - 1), last_x) == 0) & (
+        _rectangle_sums(down, np.minimum(y0, h - 1), last_y, x0, x1) == 0
+    )
+
+
+def _shift_correlations(template: np.ndarray, image: np.ndarray, radius: int) -> np.ndarray:
+    """Zero-mean correlation of the template against the image shifted by
+    every integer offset (dx, dy) within +-radius, at [dy + radius,
+    dx + radius]; over the in-bounds support inside the border margin,
+    and -1 where that support is too small or flat.
+
+    Under a pure integer translation the support is a rectangle, so
+    summed-area tables of both frames and of their squares give every
+    shift's sums, and one product of the margin-cropped template with
+    the windows of the zero-padded image gives every cross sum. Each
+    frame's global mean is subtracted first, which leaves the
+    correlations unchanged and keeps the sums small."""
     h, w = template.shape
-    y0, y1 = max(BORDER_MARGIN, -dy), min(h - BORDER_MARGIN, h - dy)
-    x0, x1 = max(BORDER_MARGIN, -dx), min(w - BORDER_MARGIN, w - dx)
-    if y1 <= y0 or x1 <= x0 or (y1 - y0) * (x1 - x0) < MIN_SUPPORT_PIXELS:
-        return -1.0
-    ir = template[y0:y1, x0:x1].reshape(-1)
-    iw = image[y0 + dy : y1 + dy, x0 + dx : x1 + dx].reshape(-1)
-    ir = ir - ir.mean()
-    iw = iw - iw.mean()
-    denom = np.linalg.norm(ir) * np.linalg.norm(iw)
-    if denom < 1e-12:
-        return -1.0
-    return float(ir @ iw / denom)
+    m = BORDER_MARGIN
+    t = template - template.mean()
+    i = image - image.mean()
+    shifts = np.arange(-radius, radius + 1)
+    # Support bounds in template coordinates, per dy (rows) and per dx
+    # (columns); an empty range comes out with a non-positive extent.
+    y0 = np.clip(np.maximum(m, -shifts), 0, h)[:, None]
+    y1 = np.clip(np.minimum(h - m, h - shifts), 0, h)[:, None]
+    x0 = np.clip(np.maximum(m, -shifts), 0, w)[None, :]
+    x1 = np.clip(np.minimum(w - m, w - shifts), 0, w)[None, :]
+    count = np.maximum(y1 - y0, 0) * np.maximum(x1 - x0, 0)
+    # The same rectangles in the image, moved by the shift.
+    iy0, iy1 = np.clip(y0 + shifts[:, None], 0, h), np.clip(y1 + shifts[:, None], 0, h)
+    ix0, ix1 = np.clip(x0 + shifts[None, :], 0, w), np.clip(x1 + shifts[None, :], 0, w)
+    n = np.maximum(count, 1)
+    sum_t = _rectangle_sums(_summed_area(t), y0, y1, x0, x1)
+    sum_i = _rectangle_sums(_summed_area(i), iy0, iy1, ix0, ix1)
+    var_t = _rectangle_sums(_summed_area(t * t), y0, y1, x0, x1) - sum_t * sum_t / n
+    var_i = _rectangle_sums(_summed_area(i * i), iy0, iy1, ix0, ix1) - sum_i * sum_i / n
+    # Template pixel (y, x) meets image pixel (y + dy, x + dx), which is
+    # padded[y + dy + radius, x + dx + radius]; outside the image it is a
+    # zero and adds nothing.
+    padded = np.pad(i, radius)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (h - 2 * m, w - 2 * m))
+    span = slice(m, m + 2 * radius + 1)
+    cross = np.einsum("abij,ij->ab", windows[span, span], t[m : h - m, m : w - m])
+    cross -= sum_t * sum_i / n
+    denom = np.sqrt(np.maximum(var_t, 0.0)) * np.sqrt(np.maximum(var_i, 0.0))
+    valid = (count >= MIN_SUPPORT_PIXELS) & (denom >= 1e-12)
+    valid &= ~_constant_rectangles(template, y0, y1, x0, x1)
+    valid &= ~_constant_rectangles(image, iy0, iy1, ix0, ix1)
+    return np.where(valid, cross / np.where(valid, denom, 1.0), -1.0)
 
 
 def _best_integer_shift(template: np.ndarray, image: np.ndarray, radius: int) -> tuple[int, int]:
-    """The integer offset (dx, dy) within +-radius, starting from the
-    identity, that maximizes correlation. Gradient steps need to start
-    inside the correlation basin; an exhaustive shift search at the
-    coarsest pyramid level buys a wide capture range for a few hundred
-    tiny evaluations."""
-    best = (0, 0)
-    best_rho = _shift_correlation(template, image, 0, 0)
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            if dx == 0 and dy == 0:
-                continue
-            rho = _shift_correlation(template, image, dx, dy)
-            if rho > best_rho:
-                best_rho = rho
-                best = (dx, dy)
-    return best
+    """The integer offset (dx, dy) within +-radius that maximizes
+    correlation: the identity unless another shift beats it strictly,
+    else the first maximum in row-major (dy, dx) order. Gradient steps
+    need to start inside the correlation basin; an exhaustive shift
+    search at the coarsest pyramid level buys a wide capture range for
+    one table of (2 * radius + 1)**2 correlations."""
+    table = _shift_correlations(template, image, radius)
+    dy, dx = np.unravel_index(np.argmax(table), table.shape)
+    if table[dy, dx] > table[radius, radius]:
+        return int(dx) - radius, int(dy) - radius
+    return 0, 0
 
 
 class _SampleBuffers:
@@ -330,8 +377,10 @@ class _LevelWorkspace:
     """Buffers for one pyramid level of shape (h, w), sized for its
     whole support: the support grid, the warped coordinates with their
     in-image tests, the selected points of a pass, the bilinear samples
-    and the (N, 6) Jacobian. A pass uses the first n entries, n being
-    the number of support points whose warp lands inside the image."""
+    and the Jacobian, stored (6, N) so each parameter's row is
+    contiguous. A pass uses the first n entries (columns of the
+    Jacobian), n being the number of support points whose warp lands
+    inside the image."""
 
     def __init__(self, shape: tuple[int, int]) -> None:
         self.shape = shape
@@ -351,7 +400,7 @@ class _LevelWorkspace:
         self.px = np.empty(size)
         self.py = np.empty(size)
         self.ir = np.empty(size)
-        self.jac = np.empty((size, 6))
+        self.jac = np.empty((6, size))
         self.sampling = _SampleBuffers(size)
 
 
@@ -450,21 +499,25 @@ def _align_level(
         if converged or plateau:
             return best_warp, rho_prev
 
-        # Jacobian columns follow the row-major parameter order
-        # [a11, a12, tx, a21, a22, ty].
+        # Jacobian rows follow the row-major parameter order
+        # [a11, a12, tx, a21, a22, ty]; each is one contiguous write.
         gx, gy = grads
         xm = xs.take(sel, out=px, mode="clip")
         ym = ys.take(sel, out=py, mode="clip")
-        jac = ws.jac[:n]
-        np.multiply(gx, xm, out=jac[:, 0])
-        np.multiply(gx, ym, out=jac[:, 1])
-        jac[:, 2] = gx
-        np.multiply(gy, xm, out=jac[:, 3])
-        np.multiply(gy, ym, out=jac[:, 4])
-        jac[:, 5] = gy
-        hess = jac.T @ jac
-        gw = jac.T @ iw
-        gr = jac.T @ ir
+        jac = ws.jac[:, :n]
+        np.multiply(gx, xm, out=jac[0])
+        np.multiply(gx, ym, out=jac[1])
+        jac[2] = gx
+        np.multiply(gy, xm, out=jac[3])
+        np.multiply(gy, ym, out=jac[4])
+        jac[5] = gy
+        # The symmetric normal matrix from its 21 distinct row products.
+        hess = np.empty((6, 6))
+        for row in range(6):
+            for col in range(row, 6):
+                hess[row, col] = hess[col, row] = jac[row] @ jac[col]
+        gw = jac @ iw
+        gr = jac @ ir
         try:
             hinv_gw = np.linalg.solve(hess, gw)
             hinv_gr = np.linalg.solve(hess, gr)
@@ -572,23 +625,3 @@ def ecc_align(
         )
     return result, correlation
 
-
-def warp_image(image, warp: AffineWarp, fill: float = 0.0) -> np.ndarray:
-    """Render `image` as seen after the camera motion described by `warp`
-    (output pixel p takes the value of `image` at inverse(warp)(p)).
-
-    Utility for synthesizing aligned frame pairs and for tests; the
-    alignment loop itself samples directly and does not go through here.
-    """
-    arr = _as_float_image(image)
-    h, w = arr.shape
-    inv = invert_warp(warp).matrix
-    ys, xs = np.mgrid[0:h, 0:w]
-    xs = xs.reshape(-1).astype(float)
-    ys = ys.reshape(-1).astype(float)
-    xw = inv[0, 0] * xs + inv[0, 1] * ys + inv[0, 2]
-    yw = inv[1, 0] * xs + inv[1, 1] * ys + inv[1, 2]
-    out = ndimage.map_coordinates(
-        arr, np.vstack([yw, xw]), order=1, mode="constant", cval=fill, output=float
-    )
-    return out.reshape(h, w)

@@ -125,6 +125,19 @@ def sequences(draw):
     # Shifted hypotheses share no frame with the ground truth.
     first = draw(st.sampled_from([0, 0, 0, 10]))
     hypotheses = draw(trajectories(first, 5))  # may be empty
+    if draw(st.booleans()):
+        # Two hypothesis ids hold one box on every frame, and a drawn
+        # subset of two GT ids holds it on each frame: both GT ids may
+        # then last have matched the same hypothesis on a frame where it
+        # overlaps them both, with the other hypothesis free.
+        box = draw(grid_boxes)
+        pairs = st.lists(st.integers(0, 9), min_size=2, max_size=2, unique=True)
+        a, b = draw(pairs)
+        for hid in draw(pairs):
+            hypotheses[hid] = dict.fromkeys(range(6), box)
+        for frame in range(6):
+            for gid in draw(st.sampled_from([(), (a,), (b,), (a, b)])):
+                ground_truth.setdefault(gid, {})[frame] = box
     return hypotheses, ground_truth
 
 
