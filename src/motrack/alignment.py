@@ -237,13 +237,10 @@ def _constant_rectangles(a: np.ndarray, y0, y1, x0, x1) -> np.ndarray:
     holds a single value: no two neighbours in it differ. Counted
     exactly, where a variance from summed squares would round away from
     zero."""
-    h, w = a.shape
     across = _summed_area(a[:, 1:] != a[:, :-1])
     down = _summed_area(a[1:] != a[:-1])
-    last_x = np.clip(x1 - 1, 0, w - 1)
-    last_y = np.clip(y1 - 1, 0, h - 1)
-    return (_rectangle_sums(across, y0, y1, np.minimum(x0, w - 1), last_x) == 0) & (
-        _rectangle_sums(down, np.minimum(y0, h - 1), last_y, x0, x1) == 0
+    return (_rectangle_sums(across, y0, y1, x0, x1 - 1) == 0) & (
+        _rectangle_sums(down, y0, y1 - 1, x0, x1) == 0
     )
 
 
@@ -263,17 +260,16 @@ def _shift_correlations(template: np.ndarray, image: np.ndarray, radius: int) ->
     m = BORDER_MARGIN
     t = template - template.mean()
     i = image - image.mean()
-    shifts = np.arange(-radius, radius + 1)
+    dy = np.arange(-radius, radius + 1)[:, None]
+    dx = dy.T
     # Support bounds in template coordinates, per dy (rows) and per dx
-    # (columns); an empty range comes out with a non-positive extent.
-    y0 = np.clip(np.maximum(m, -shifts), 0, h)[:, None]
-    y1 = np.clip(np.minimum(h - m, h - shifts), 0, h)[:, None]
-    x0 = np.clip(np.maximum(m, -shifts), 0, w)[None, :]
-    x1 = np.clip(np.minimum(w - m, w - shifts), 0, w)[None, :]
+    # (columns), and the same rectangles in the image. An empty range
+    # has a non-positive extent; with sides of at least MIN_ALIGN_DIM >
+    # BORDER_MARGIN + radius every bound still indexes the tables.
+    y0, y1 = np.maximum(m, -dy), np.minimum(h - m, h - dy)
+    x0, x1 = np.maximum(m, -dx), np.minimum(w - m, w - dx)
+    iy0, iy1, ix0, ix1 = y0 + dy, y1 + dy, x0 + dx, x1 + dx
     count = np.maximum(y1 - y0, 0) * np.maximum(x1 - x0, 0)
-    # The same rectangles in the image, moved by the shift.
-    iy0, iy1 = np.clip(y0 + shifts[:, None], 0, h), np.clip(y1 + shifts[:, None], 0, h)
-    ix0, ix1 = np.clip(x0 + shifts[None, :], 0, w), np.clip(x1 + shifts[None, :], 0, w)
     n = np.maximum(count, 1)
     sum_t = _rectangle_sums(_summed_area(t), y0, y1, x0, x1)
     sum_i = _rectangle_sums(_summed_area(i), iy0, iy1, ix0, ix1)
