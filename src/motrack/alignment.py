@@ -89,8 +89,8 @@ class AffineWarp:
     def flatten(self) -> np.ndarray:
         return self.matrix.reshape(-1).copy()
 
-    def is_identity(self, tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.flatten() - _REFERENCE)) <= tol)
+    def is_identity(self) -> bool:
+        return bool(np.max(np.abs(self.flatten() - _REFERENCE)) <= 0.0)
 
 
 @dataclass
@@ -129,8 +129,8 @@ class EccParams:
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
         # Written so that NaN, which fails every comparison and would
-        # disable the step-size stop, is rejected too.
-        if not (0 < self.epsilon < math.inf):
+        # disable the step-size stop, is rejected too; True would pass as 1.
+        if isinstance(self.epsilon, bool) or not (0 < self.epsilon < math.inf):
             raise ValueError("epsilon must be positive and finite")
         if self.pyramid_levels <= 0:
             raise ValueError("pyramid_levels must be positive")
@@ -549,7 +549,6 @@ def ecc_align(
     prev,
     cur,
     params: EccParams | None = None,
-    initial: AffineWarp | None = None,
     trace: list | None = None,
     *,
     workspace: EccWorkspace | None = None,
@@ -590,11 +589,8 @@ def ecc_align(
             break
         pyramid.append((_halve(t), _halve(i)))
 
-    if initial is None:
-        dx, dy = _best_integer_shift(*pyramid[-1], SHIFT_SEARCH_RADIUS)
-        warp = AffineWarp.translation(dx, dy).matrix
-    else:
-        warp = _scale_translation(initial.matrix, 1.0 / (base_scale * 2 ** (len(pyramid) - 1)))
+    dx, dy = _best_integer_shift(*pyramid[-1], SHIFT_SEARCH_RADIUS)
+    warp = AffineWarp.translation(dx, dy).matrix
 
     workspace = workspace or EccWorkspace()
     buffers = workspace.levels([t.shape for t, _ in pyramid])

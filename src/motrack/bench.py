@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import TrackerConfig
 from .evaluation import evaluate, trajectories_from_tracks
-from .gating import CellGrid, fully_connected_cost, gated_cost
+from .gating import GRID_CELLS, CellGrid, fully_connected_cost, gated_cost
 from .geometry import BoundingBox, iou
 from .kalman import MotionParams
 from .pipeline import Tracker
@@ -104,7 +104,7 @@ def bench_gating(
     paths, with equal track and detection counts. Both paths are checked
     to produce identical admissible pairs before timing starts."""
     config = config or TrackerConfig()
-    grid = CellGrid(config.grid_m, config.grid_n, frame_size[0], frame_size[1])
+    grid = CellGrid(*GRID_CELLS, frame_size[0], frame_size[1])
     rng = np.random.default_rng(seed)
     rows: list[GatingRow] = []
     for k in counts:

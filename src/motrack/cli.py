@@ -23,14 +23,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     defaults = TrackerConfig()
     parser.add_argument("--l-max", type=float, default=defaults.l_max)
     parser.add_argument("--alpha", type=float, default=defaults.alpha)
-    parser.add_argument("--grid-m", type=int, default=defaults.grid_m)
-    parser.add_argument("--grid-n", type=int, default=defaults.grid_n)
     parser.add_argument("--iou-gate", type=float, default=defaults.iou_gate)
     parser.add_argument("--min-track-len", type=int, default=defaults.min_track_len)
     parser.add_argument(
         "--backward-tracklet-len", type=int, default=defaults.backward_tracklet_len
     )
-    parser.add_argument("--box-extension", type=float, default=defaults.box_extension)
     parser.add_argument(
         "--confidence-floor", type=float, default=defaults.confidence_floor
     )
@@ -46,12 +43,9 @@ def _config_from_args(args: argparse.Namespace) -> TrackerConfig:
     return TrackerConfig(
         l_max=args.l_max,
         alpha=args.alpha,
-        grid_m=args.grid_m,
-        grid_n=args.grid_n,
         iou_gate=args.iou_gate,
         min_track_len=args.min_track_len,
         backward_tracklet_len=args.backward_tracklet_len,
-        box_extension=args.box_extension,
         confidence_floor=args.confidence_floor,
         use_gating=not args.no_gating,
         fixed_window=args.fixed_window,

@@ -10,18 +10,16 @@ class TrackerConfig:
     """Knobs shared by the gating, reconnection, and lifecycle stages.
 
     Defaults are the fixed operating point: reconnection cap of 120 frames
-    with blend weight 0.95, a 16x8 gating grid, candidate IoU cut 0.3, and
-    a minimum output track length of 5 frames.
+    with blend weight 0.95, candidate IoU cut 0.3, and a minimum output
+    track length of 5 frames. The gating grid is not a knob: gating is
+    exact for any grid (see `gating.py`), so it lives there as a constant.
     """
 
     l_max: float = 120.0
     alpha: float = 0.95
-    grid_m: int = 16
-    grid_n: int = 8
     iou_gate: float = 0.3
     min_track_len: int = 5
     backward_tracklet_len: int = 3
-    box_extension: float = 1.0
     confidence_floor: float = 0.0
     # Engineering switches: gating off falls back to fully connected IoU
     # costs; fixed_window is a harness toggle (window = l_max always).
@@ -33,8 +31,6 @@ class TrackerConfig:
             raise ValueError("l_max must be positive")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.grid_m < 1 or self.grid_n < 1:
-            raise ValueError("grid must have at least one cell per axis")
         if not 0.0 < self.iou_gate <= 1.0:
             # A zero gate would admit non-overlapping pairs, which the
             # cell-overlap prefilter cannot see; keep the gate positive.
@@ -45,5 +41,3 @@ class TrackerConfig:
             raise ValueError("min_track_len must be at least 1")
         if self.backward_tracklet_len < 1:
             raise ValueError("backward_tracklet_len must be at least 1")
-        if self.box_extension < 1.0:
-            raise ValueError("box_extension must be >= 1")

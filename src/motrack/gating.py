@@ -1,7 +1,7 @@
 """Spatial association gating via a 3D integral image.
 
-The frame is divided into a coarse cell grid. Each detection gets one
-binary layer marking the cells its (optionally extension-scaled) box
+The frame is divided into a coarse cell grid, GRID_CELLS columns by
+rows. Each detection gets one binary layer marking the cells its box
 touches. A per-layer 2D integral image then answers "which detections
 share at least one cell with this region" with four lookups per layer,
 so each track retrieves its candidate detections without scoring every
@@ -9,10 +9,12 @@ pair. IoU is computed only on candidates and thresholded; the surviving
 pairs form a sparse cost matrix for the assignment step.
 
 Cell snapping is outward and off-frame coordinates clamp to the border
-cells, so the candidate set always contains every pair with positive box
-overlap: gating can only discard pairs whose IoU is zero, never a
-feasible one. That makes the post-threshold pair set identical to
-scoring every pair, for any input.
+cells, so the candidate set contains every pair with positive box
+overlap, up to rounding at a cell border: boxes overlapping by an ulp
+there (IoU ~1e-16) may snap to disjoint cells. Any gate far above that
+makes the post-threshold pair set identical to scoring every pair, for
+any grid and any box extension; the grid is therefore fixed, and it
+sets only the speed.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ import numpy as np
 
 from .config import TrackerConfig
 from .geometry import BoundingBox, boxes_to_array, iou_matrix, iou_pairs
+
+# (columns, rows) of the cell grid the tracker gates on.
+GRID_CELLS = (16, 8)
 
 
 @dataclass(frozen=True)
@@ -48,8 +53,9 @@ class CellGrid:
     def cell_height(self) -> float:
         return self.frame_height / self.n_cells
 
-    def cell_span(self, box: BoundingBox) -> tuple[int, int, int, int]:
-        """Inclusive (col1, col2, row1, row2) of cells the box overlaps.
+    def spans(self, boxes: np.ndarray) -> np.ndarray:
+        """Inclusive cell spans of a (K, 4) corner array, as (K, 4) int
+        columns [col1, col2, row1, row2].
 
         Snapping is outward (floor/ceil) and the indices are clipped to
         the grid, so a box hanging past the frame edge snaps to the
@@ -57,43 +63,19 @@ class CellGrid:
         same range keeps them intersecting, hence any two overlapping
         boxes share a cell no matter where they sit.
         """
-        col1 = int(np.floor(box.x1 / self.cell_width))
-        col2 = int(np.ceil(box.x2 / self.cell_width)) - 1
-        row1 = int(np.floor(box.y1 / self.cell_height))
-        row2 = int(np.ceil(box.y2 / self.cell_height)) - 1
-        col1 = min(max(col1, 0), self.m_cells - 1)
-        col2 = min(max(col2, 0), self.m_cells - 1)
-        row1 = min(max(row1, 0), self.n_cells - 1)
-        row2 = min(max(row2, 0), self.n_cells - 1)
-        return col1, col2, row1, row2
-
-
-def _spans_from_boxes(
-    boxes: np.ndarray, grid: CellGrid, extension: float
-) -> np.ndarray:
-    """Vectorized cell_span over a (K, 4) box array after center scaling.
-
-    Returns (K, 4) int columns [col1, col2, row1, row2].
-    """
-    if extension != 1.0:
-        cx = 0.5 * (boxes[:, 0] + boxes[:, 2])
-        cy = 0.5 * (boxes[:, 1] + boxes[:, 3])
-        hw = 0.5 * (boxes[:, 2] - boxes[:, 0]) * extension
-        hh = 0.5 * (boxes[:, 3] - boxes[:, 1]) * extension
-        boxes = np.stack([cx - hw, cy - hh, cx + hw, cy + hh], axis=1)
-    col1 = np.floor(boxes[:, 0] / grid.cell_width).astype(np.int64)
-    col2 = np.ceil(boxes[:, 2] / grid.cell_width).astype(np.int64) - 1
-    row1 = np.floor(boxes[:, 1] / grid.cell_height).astype(np.int64)
-    row2 = np.ceil(boxes[:, 3] / grid.cell_height).astype(np.int64) - 1
-    return np.stack(
-        [
-            np.clip(col1, 0, grid.m_cells - 1),
-            np.clip(col2, 0, grid.m_cells - 1),
-            np.clip(row1, 0, grid.n_cells - 1),
-            np.clip(row2, 0, grid.n_cells - 1),
-        ],
-        axis=1,
-    )
+        col1 = np.floor(boxes[:, 0] / self.cell_width).astype(np.int64)
+        col2 = np.ceil(boxes[:, 2] / self.cell_width).astype(np.int64) - 1
+        row1 = np.floor(boxes[:, 1] / self.cell_height).astype(np.int64)
+        row2 = np.ceil(boxes[:, 3] / self.cell_height).astype(np.int64) - 1
+        return np.stack(
+            [
+                np.clip(col1, 0, self.m_cells - 1),
+                np.clip(col2, 0, self.m_cells - 1),
+                np.clip(row1, 0, self.n_cells - 1),
+                np.clip(row2, 0, self.n_cells - 1),
+            ],
+            axis=1,
+        )
 
 
 @dataclass
@@ -153,7 +135,13 @@ def build_maps(
     if k == 0:
         return EncodingMaps(grid, layers)
     boxes = boxes_to_array(detections)
-    spans = _spans_from_boxes(boxes, grid, extension)
+    if extension != 1.0:
+        cx = 0.5 * (boxes[:, 0] + boxes[:, 2])
+        cy = 0.5 * (boxes[:, 1] + boxes[:, 3])
+        hw = 0.5 * (boxes[:, 2] - boxes[:, 0]) * extension
+        hh = 0.5 * (boxes[:, 3] - boxes[:, 1]) * extension
+        boxes = np.stack([cx - hw, cy - hh, cx + hw, cy + hh], axis=1)
+    spans = grid.spans(boxes)
     cols = np.arange(grid.m_cells)
     rows = np.arange(grid.n_cells)
     col_hit = (cols >= spans[:, 0:1]) & (cols <= spans[:, 1:2])  # (K, M)
@@ -185,8 +173,7 @@ def query(
     """Indices of detections sharing at least one cell with the box."""
     if integral.k_layers == 0:
         return np.empty(0, dtype=np.int64)
-    span = grid.cell_span(track_box)
-    counts = integral.region_counts(np.array([span], dtype=np.int64))[0]
+    counts = integral.region_counts(grid.spans(boxes_to_array([track_box])))[0]
     return np.nonzero(counts)[0]
 
 
@@ -219,12 +206,10 @@ def gated_cost(
     t, k = len(track_boxes), len(detection_boxes)
     if t == 0 or k == 0:
         return _empty_cost(t, k)
-    maps = build_maps(detection_boxes, grid, config.box_extension)
-    integral = build_integral(maps)
+    integral = build_integral(build_maps(detection_boxes, grid))
 
     tb = boxes_to_array(track_boxes)
-    spans = _spans_from_boxes(tb, grid, 1.0)
-    counts = integral.region_counts(spans)  # (T, K)
+    counts = integral.region_counts(grid.spans(tb))  # (T, K)
     flat = np.flatnonzero(counts)  # row-major, same order np.nonzero gives
     if len(flat) == 0:
         return _empty_cost(t, k)

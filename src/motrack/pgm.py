@@ -35,9 +35,6 @@ class GrayImage:
         clipped = np.clip(np.rint(arr), 0, 255).astype(np.uint8)
         return cls(arr.shape[1], arr.shape[0], clipped)
 
-    def to_array(self) -> np.ndarray:
-        return self.intensities.reshape(self.height, self.width).copy()
-
     def to_float(self) -> np.ndarray:
         return self.intensities.reshape(self.height, self.width).astype(float)
 

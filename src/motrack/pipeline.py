@@ -37,7 +37,7 @@ from .alignment import (
     image_shape,
 )
 from .config import TrackerConfig
-from .gating import CellGrid, fully_connected_cost, gated_cost
+from .gating import GRID_CELLS, CellGrid, fully_connected_cost, gated_cost
 from .assignment import km_solve
 from .geometry import BoundingBox, Detection, boxes_to_array, centers_to_corners
 from .kalman import (
@@ -157,10 +157,7 @@ class Tracker:
         # Alignment scratch memory, reused frame to frame; one per tracker
         # so trackers on different threads never share it.
         self.ecc_workspace = EccWorkspace()
-        self.frame_size = frame_size
-        self.grid = CellGrid(
-            self.config.grid_m, self.config.grid_n, frame_size[0], frame_size[1]
-        )
+        self.grid = CellGrid(*GRID_CELLS, frame_size[0], frame_size[1])
         self.diagonal = math.hypot(frame_size[0], frame_size[1])
         self.policy = ReconnectionPolicy.from_config(self.config)
         self.store = TrackStore()
@@ -258,6 +255,15 @@ class Tracker:
             cost = fully_connected_cost(predictions, det_boxes, self.config)
         assignment = km_solve(cost)
 
+        # Update before any track changes, so a DegenerateStateError
+        # leaves the table and the records as they were.
+        if assignment.pairs:
+            rows = [row for row, _ in assignment.pairs]
+            observed = boxes_to_array([detections[col].box for _, col in assignment.pairs])
+            means[rows], cov_terms[rows] = update_states(
+                means[rows], cov_terms[rows], observed, params
+            )
+
         for row, col in assignment.pairs:
             track = live[row]
             det = detections[col]
@@ -285,13 +291,6 @@ class Tracker:
                 if len(req.post_b_tracklet) >= self.config.backward_tracklet_len:
                     events.fills.append(self._resolve_fill(track.track_id))
             track.commit(frame, det.box, det.confidence)
-
-        if assignment.pairs:
-            rows = [row for row, _ in assignment.pairs]
-            observed = boxes_to_array([detections[col].box for _, col in assignment.pairs])
-            means[rows], cov_terms[rows] = update_states(
-                means[rows], cov_terms[rows], observed, params
-            )
 
         for row in assignment.unmatched_tracks:
             track = live[row]

@@ -227,12 +227,6 @@ def test_ecc_accepts_gray_image_wrapper():
     assert corr >= 0.999
 
 
-def test_ecc_initial_warp_honored():
-    prev, cur, true_warp = textured_pair(13)
-    est, corr = ecc_align(prev, cur, initial=true_warp)
-    assert corr >= 0.99
-
-
 def test_warp_image_translation_round_trip():
     img = texture(4, 96, 96)
     # The frame after the camera moves content 6 px right: pixel (y, x)
@@ -252,6 +246,7 @@ def test_ecc_params_reject_invalid_values():
         {"epsilon": -1e-5},
         {"epsilon": math.nan},
         {"epsilon": math.inf},
+        {"epsilon": True},
         {"pyramid_levels": 0},
         {"working_width": 0},
     ):
@@ -477,7 +472,7 @@ def test_pgm_round_trip(tmp_path):
     write_pgm(path, GrayImage.from_array(arr))
     back = read_pgm(path)
     assert back.width == 48 and back.height == 32
-    assert np.array_equal(back.to_array(), arr)
+    assert np.array_equal(back.intensities.reshape(back.height, back.width), arr)
 
 
 def test_pgm_comment_header(tmp_path):
@@ -486,7 +481,7 @@ def test_pgm_comment_header(tmp_path):
     path.write_bytes(b"P5\n# comment line\n3 2\n255\n" + payload)
     img = read_pgm(path)
     assert img.width == 3 and img.height == 2
-    assert img.to_array().tolist() == [[0, 1, 2], [3, 4, 5]]
+    assert img.intensities.reshape(img.height, img.width).tolist() == [[0, 1, 2], [3, 4, 5]]
 
 
 def test_pgm_rejects_bad_magic(tmp_path):

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motrack.config import TrackerConfig
 from motrack.gating import (
+    GRID_CELLS,
     CellGrid,
     EncodingMaps,
     build_integral,
@@ -15,7 +19,7 @@ from motrack.geometry import BoundingBox, boxes_to_array, iou
 
 
 CFG = TrackerConfig()
-GRID = CellGrid(CFG.grid_m, CFG.grid_n, 1920.0, 1080.0)
+GRID = CellGrid(*GRID_CELLS, 1920.0, 1080.0)
 
 # Dense-matrix entry of a pair the cost rules out.
 FORBIDDEN = 4e9
@@ -37,8 +41,17 @@ def random_box(rng, width=1920.0, height=1080.0, spread=1.0):
 
 def snapped_cells(grid, box):
     """Reference cell rasterization: snap outward, clip to the grid."""
-    c1, c2, r1, r2 = grid.cell_span(box)
+    cw, ch = grid.cell_width, grid.cell_height
+    last_c, last_r = grid.m_cells - 1, grid.n_cells - 1
+    c1 = min(max(math.floor(box.x1 / cw), 0), last_c)
+    c2 = min(max(math.ceil(box.x2 / cw) - 1, 0), last_c)
+    r1 = min(max(math.floor(box.y1 / ch), 0), last_r)
+    r2 = min(max(math.ceil(box.y2 / ch) - 1, 0), last_r)
     return {(r, c) for r in range(r1, r2 + 1) for c in range(c1, c2 + 1)}
+
+
+def cell_span(grid, box):
+    return tuple(grid.spans(boxes_to_array([box]))[0].tolist())
 
 
 # ------------------------------------------------------------------ cell grid
@@ -47,21 +60,21 @@ def snapped_cells(grid, box):
 def test_cell_span_snaps_outward():
     grid = CellGrid(4, 4, 400.0, 400.0)  # 100 px cells
     # box interior to cell (1,1) only
-    assert grid.cell_span(BoundingBox(110, 110, 190, 190)) == (1, 1, 1, 1)
+    assert cell_span(grid, BoundingBox(110, 110, 190, 190)) == (1, 1, 1, 1)
     # crossing the 200 px boundary by a hair still claims the next cell
-    assert grid.cell_span(BoundingBox(110, 110, 200.01, 190)) == (1, 2, 1, 1)
+    assert cell_span(grid, BoundingBox(110, 110, 200.01, 190)) == (1, 2, 1, 1)
 
 
 def test_cell_span_clips_to_frame():
     grid = CellGrid(4, 4, 400.0, 400.0)
-    assert grid.cell_span(BoundingBox(-50, -50, 30, 30)) == (0, 0, 0, 0)
-    assert grid.cell_span(BoundingBox(350, 380, 900, 900)) == (3, 3, 3, 3)
+    assert cell_span(grid, BoundingBox(-50, -50, 30, 30)) == (0, 0, 0, 0)
+    assert cell_span(grid, BoundingBox(350, 380, 900, 900)) == (3, 3, 3, 3)
 
 
 def test_cell_span_off_frame_snaps_to_border_cells():
     grid = CellGrid(4, 4, 400.0, 400.0)
-    assert grid.cell_span(BoundingBox(500, 100, 600, 200)) == (3, 3, 1, 1)
-    assert grid.cell_span(BoundingBox(-80, -90, -10, -5)) == (0, 0, 0, 0)
+    assert cell_span(grid, BoundingBox(500, 100, 600, 200)) == (3, 3, 1, 1)
+    assert cell_span(grid, BoundingBox(-80, -90, -10, -5)) == (0, 0, 0, 0)
 
 
 def test_grid_validation():
@@ -292,3 +305,50 @@ def test_empty_inputs():
     assert gated_cost([], [], GRID, CFG).pair_count() == 0
     assert gated_cost([BoundingBox(0, 0, 10, 10)], [], GRID, CFG).pair_count() == 0
     assert fully_connected_cost([], [BoundingBox(0, 0, 10, 10)], CFG).pair_count() == 0
+
+
+# Boxes around a frame of up to 2000 px a side, reaching well past every
+# edge, so some lie partly and some wholly off the frame.
+coords = st.floats(-2500.0, 4500.0, allow_nan=False)
+sides = st.floats(0.5, 1500.0, allow_nan=False)
+
+
+@st.composite
+def box_lists(draw, max_size):
+    boxes = []
+    for _ in range(draw(st.integers(0, max_size))):
+        x1, y1 = draw(coords), draw(coords)
+        boxes.append(BoundingBox(x1, y1, x1 + draw(sides), y1 + draw(sides)))
+    return boxes
+
+
+@st.composite
+def gating_inputs(draw):
+    m_cells = draw(st.integers(1, 255))
+    n_cells = draw(st.integers(1, 255 // m_cells))
+    width = draw(st.floats(1.0, 2000.0))
+    height = draw(st.floats(1.0, 2000.0))
+    grid = CellGrid(m_cells, n_cells, width, height)
+    tracks = draw(box_lists(12))
+    # Detections near the tracks as well as anywhere, so gated pairs occur.
+    dets = draw(box_lists(12))
+    near = draw(st.lists(st.sampled_from(tracks), max_size=8)) if tracks else []
+    for t in near:
+        dx, dy = draw(st.floats(-0.8, 0.8)), draw(st.floats(-0.8, 0.8))
+        w, h = t.x2 - t.x1, t.y2 - t.y1
+        dets.append(BoundingBox(t.x1 + dx * w, t.y1 + dy * h, t.x2 + dx * w, t.y2 + dy * h))
+    return grid, tracks, dets
+
+
+# The gate stays far above rounding: two boxes that overlap by one ulp
+# across a cell border can snap to disjoint cells, at an IoU near 1e-16.
+@given(gating_inputs(), st.floats(0.01, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_gating_is_exact_on_any_grid(inputs, iou_gate):
+    grid, tracks, dets = inputs
+    config = TrackerConfig(iou_gate=iou_gate)
+    g = gated_cost(tracks, dets, grid, config)
+    f = fully_connected_cost(tracks, dets, config)
+    assert np.array_equal(g.rows, f.rows)
+    assert np.array_equal(g.cols, f.cols)
+    assert np.array_equal(g.costs, f.costs)

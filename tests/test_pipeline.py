@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import sys
 import threading
@@ -11,6 +12,7 @@ import motrack.pipeline
 from motrack.alignment import MIN_ALIGN_DIM, AffineWarp, EccError, ecc_align
 from motrack.config import TrackerConfig
 from motrack.geometry import BoundingBox, Detection
+from motrack.kalman import DegenerateStateError
 from motrack.pipeline import FramePacket, Tracker
 from motrack.synth import generate, random_scenario, render_frames, textured_pair
 from motrack.tracks import FILL_CONFIDENCE, TrackStatus
@@ -537,3 +539,53 @@ def test_frame_size_change_falls_back_and_aligns_from_the_new_frame():
     assert events[3].alignment_correlation == correlation
     assert log.get(4).matrix.tolist() == warp.matrix.tolist()
     assert tracker.prev_image is b_cur
+
+
+def record_state(track):
+    snapshot = track.snapshot
+    if snapshot is not None:
+        snapshot = (snapshot.mean.tolist(), snapshot.cov_terms.tolist())
+    return (
+        track.track_id,
+        track.status,
+        dict(track.history),
+        dict(track.confidences),
+        track.last_frame,
+        snapshot,
+    )
+
+
+def test_degenerate_update_leaves_the_tracker_as_it_was():
+    # Track 1 coasts through frames 4-5 and reconnects at 6, where track
+    # 2's corrupted covariance makes the Kalman update raise.
+    packets = []
+    for f in range(1, 10):
+        first = [] if f in (4, 5) else [det(f, 200.0 + 4 * f, 270.0)]
+        packets.append(FramePacket(f, first + [det(f, 600.0 + 4 * f, 270.0)]))
+    tracker = Tracker(frame_size=SIZE)
+    for packet in packets[:5]:
+        tracker.step(packet)
+    assert [t.status for t in tracker.live] == [TrackStatus.DEACTIVATED, TrackStatus.ACTIVE]
+    good_terms = tracker.cov_terms.copy()
+    tracker.cov_terms[1, 0] = -1e6
+    live = list(tracker.live)
+    means, cov_terms = tracker.means.copy(), tracker.cov_terms.copy()
+    records = copy.deepcopy([record_state(t) for t in tracker.store.tracks.values()])
+    fills = sorted(tracker.pending_fills)
+
+    with pytest.raises(DegenerateStateError):
+        tracker.step(packets[5])
+
+    assert tracker.live == live
+    assert np.array_equal(tracker.means, means)
+    assert np.array_equal(tracker.cov_terms, cov_terms)
+    assert [record_state(t) for t in tracker.store.tracks.values()] == records
+    assert sorted(tracker.pending_fills) == fills
+    assert tracker.last_frame == 5
+    # With the covariance mended, the same frame steps and the sequence
+    # tracks as if the failed step had never happened.
+    tracker.cov_terms[:] = good_terms
+    for packet in packets[5:]:
+        tracker.step(packet)
+    tracks, _ = run(packets)
+    assert [t.history for t in tracker.finalize()] == [t.history for t in tracks]

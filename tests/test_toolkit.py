@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motrack.bench import FillRow, GatingRow, bench_filling, fill_means, write_csv
-from motrack.cli import main
+from motrack.cli import _add_config_flags, _config_from_args, build_parser, main
 from motrack.config import TrackerConfig
 from motrack.evaluation import (
     evaluate,
@@ -605,6 +607,50 @@ def test_cli_eval_rejects_zero_threshold(tmp_path, capsys):
 def test_cli_missing_required_flag_is_a_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["track"])
+    assert excinfo.value.code == 2
+
+
+TRACK_REQUIRED = ["track", "--detections", "det.txt", "--output", "res.txt"]
+
+
+def track_config(*flags):
+    return _config_from_args(build_parser().parse_args(TRACK_REQUIRED + list(flags)))
+
+
+def test_cli_track_defaults_are_the_config_defaults():
+    assert track_config() == TrackerConfig()
+
+
+def test_cli_sets_each_config_field_with_exactly_one_flag():
+    flags = argparse.ArgumentParser()
+    _add_config_flags(flags)
+    default = TrackerConfig()
+    field_of_flag = {}
+    for action in flags._actions[1:]:  # [0] is --help
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            argv = [flag]
+        else:
+            # A valid value off the default: half a float (0.5 for a zero
+            # default), one more than an int.
+            value = (action.default or 1.0) / 2 if action.type is float else action.default + 1
+            argv = [flag, str(value)]
+        config = track_config(*argv)
+        changed = [
+            f.name
+            for f in dataclasses.fields(TrackerConfig)
+            if getattr(config, f.name) != getattr(default, f.name)
+        ]
+        assert len(changed) == 1, (flag, changed)
+        field_of_flag[flag] = changed[0]
+    names = sorted(f.name for f in dataclasses.fields(TrackerConfig))
+    assert sorted(field_of_flag.values()) == names
+
+
+@pytest.mark.parametrize("flags", [["--grid-m", "4"], ["--box-extension", "2"]])
+def test_cli_removed_gating_flags_are_usage_errors(flags):
+    with pytest.raises(SystemExit) as excinfo:
+        main(TRACK_REQUIRED + flags)
     assert excinfo.value.code == 2
 
 
