@@ -576,7 +576,7 @@ def test_degenerate_update_leaves_the_tracker_as_it_was():
     with pytest.raises(DegenerateStateError):
         tracker.step(packets[5])
 
-    assert tracker.live == live
+    assert [id(t) for t in tracker.live] == [id(t) for t in live]
     assert np.array_equal(tracker.means, means)
     assert np.array_equal(tracker.cov_terms, cov_terms)
     assert [record_state(t) for t in tracker.store.tracks.values()] == records
