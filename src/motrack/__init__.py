@@ -11,12 +11,10 @@ from .alignment import (
     AffineWarp,
     CameraMotionLog,
     EccError,
-    EccParams,
     EccWorkspace,
     camera_intensity,
     ecc_align,
     invert_warp,
-    warp_box,
 )
 from .assignment import Assignment, km_solve
 from .config import TrackerConfig
@@ -50,15 +48,13 @@ from .kalman import (
     velocity_norm,
 )
 from .mot_files import (
-    MotRecord,
     read_detections,
-    read_mot,
     read_tracks,
     write_detections,
     write_tracks,
     write_trajectories,
 )
-from .pgm import GrayImage, read_pgm, write_pgm
+from .pgm import read_pgm, write_pgm
 from .pipeline import FramePacket, FrameEvents, Tracker, TrackStore
 from .reconnect import (
     FillRequest,
@@ -86,7 +82,6 @@ __all__ = [
     "CellGrid",
     "Detection",
     "EccError",
-    "EccParams",
     "EccWorkspace",
     "EncodingMaps",
     "EvalReport",
@@ -94,10 +89,8 @@ __all__ = [
     "FramePacket",
     "FrameEvents",
     "GatedCost",
-    "GrayImage",
     "IntegralImage3D",
     "KalmanState",
-    "MotRecord",
     "MotionParams",
     "ReconnectionPolicy",
     "ScenarioSpec",
@@ -131,14 +124,12 @@ __all__ = [
     "query",
     "random_scenario",
     "read_detections",
-    "read_mot",
     "read_pgm",
     "read_tracks",
     "reconnection_window",
     "to_center_form",
     "trajectories_from_tracks",
     "velocity_norm",
-    "warp_box",
     "write_detections",
     "write_pgm",
     "write_tracks",

@@ -3,20 +3,18 @@
 Estimates a 2x3 affine warp between consecutive grayscale frames by
 maximizing the enhanced correlation coefficient (zero-mean, unit-norm
 image correlation) with Gauss-Newton increments, coarse to fine over an
-image pyramid. Also provides warp application to boxes and points,
-inversion, and a scalar camera-motion intensity derived
-from the warp's distance (in cosine terms) from the identity.
+image pyramid, at one fixed operating point (the ECC_* constants).
+Also provides warp application to points, inversion, and a scalar
+camera-motion intensity derived from the warp's distance (in cosine
+terms) from the identity.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .geometry import BoundingBox
 
 # Template pixels this close to the edge never enter the correlation
 # support; gradients there are one-sided and bias the normal equations.
@@ -33,6 +31,14 @@ SHIFT_SEARCH_RADIUS = 5
 # wandered off to a degenerate warp.
 DET_LOW = 0.25
 DET_HIGH = 4.0
+
+# The Gauss-Newton budget per pyramid level, the step norm below which a
+# level has converged, the number of pyramid levels, and the width above
+# which frames are halved before the pyramid is built.
+ECC_MAX_ITERATIONS = 50
+ECC_EPSILON = 1e-5
+ECC_PYRAMID_LEVELS = 3
+ECC_WORKING_WIDTH = 640
 
 # Reference 6-vector: identity linear part, zero translation, laid out
 # row-major to match AffineWarp.flatten().
@@ -112,48 +118,10 @@ class CameraMotionLog:
         return self.warps.get(frame, AffineWarp.identity())
 
 
-@dataclass
-class EccParams:
-    max_iterations: int = 50
-    epsilon: float = 1e-5
-    pyramid_levels: int = 3
-    working_width: int = 640
-
-    def __post_init__(self) -> None:
-        # A float count (NaN included) passes a sign test but makes every
-        # ecc_align call fail in range(); bool is an int subclass.
-        for name in ("max_iterations", "pyramid_levels", "working_width"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
-        # Written so that NaN, which fails every comparison and would
-        # disable the step-size stop, is rejected too; True would pass as 1.
-        if isinstance(self.epsilon, bool) or not (0 < self.epsilon < math.inf):
-            raise ValueError("epsilon must be positive and finite")
-        if self.pyramid_levels <= 0:
-            raise ValueError("pyramid_levels must be positive")
-        if self.working_width <= 0:
-            raise ValueError("working_width must be positive")
-
-
 def apply_points(warp: AffineWarp, points: np.ndarray) -> np.ndarray:
     """Map (N, 2) xy points through the warp."""
     pts = np.asarray(points, dtype=float)
     return pts @ warp.linear().T + warp.offset()
-
-
-def warp_box(warp: AffineWarp, box: BoundingBox) -> BoundingBox:
-    """Map the box's two diagonal corners and rebuild the axis-aligned box
-    on the results."""
-    corners = np.array([[box.x1, box.y1], [box.x2, box.y2]])
-    mapped = apply_points(warp, corners)
-    x1, y1 = np.min(mapped, axis=0)
-    x2, y2 = np.max(mapped, axis=0)
-    if x2 <= x1 or y2 <= y1:
-        raise ValueError("warp collapsed the box to zero extent")
-    return BoundingBox(float(x1), float(y1), float(x2), float(y2))
 
 
 def invert_warp(warp: AffineWarp) -> AffineWarp:
@@ -188,18 +156,7 @@ def camera_intensity(warp: AffineWarp) -> float:
     return 1.0 - float(np.dot(w, _REFERENCE)) / math.sqrt(w_sq * r_sq)
 
 
-def image_shape(image) -> tuple[int, ...]:
-    """Shape of an image as `ecc_align` will read it, without converting
-    it: (height, width) for anything exposing .to_float()."""
-    if hasattr(image, "to_float"):
-        return (image.height, image.width)
-    return np.shape(image)
-
-
 def _as_float_image(image) -> np.ndarray:
-    """Accept a 2D array or anything exposing .to_float() (see pgm.GrayImage)."""
-    if hasattr(image, "to_float"):
-        return image.to_float()
     arr = np.asarray(image, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2D grayscale image, got shape {arr.shape}")
@@ -423,7 +380,6 @@ def _align_level(
     template: np.ndarray,
     image: np.ndarray,
     warp: np.ndarray,
-    params: EccParams,
     strict: bool,
     trace: list | None,
     ws: _LevelWorkspace,
@@ -448,7 +404,7 @@ def _align_level(
     rho_prev = -2.0
     converged = False
 
-    for _ in range(params.max_iterations):
+    for _ in range(ECC_MAX_ITERATIONS):
         np.multiply(xs, warp[0, 0], out=xw)
         xw += np.multiply(ys, warp[0, 1], out=ws.px)
         xw += warp[0, 2]
@@ -532,23 +488,20 @@ def _align_level(
         lam = num / den
         delta = lam * hinv_gr - hinv_gw
         warp = warp + delta.reshape(2, 3)
-        if np.linalg.norm(delta) < params.epsilon:
+        if np.linalg.norm(delta) < ECC_EPSILON:
             # Accept the step, measure its correlation once, then stop.
             converged = True
 
     if converged:
         return best_warp, rho_prev
     if strict:
-        raise EccConvergenceError(
-            f"no convergence in {params.max_iterations} iterations"
-        )
+        raise EccConvergenceError(f"no convergence in {ECC_MAX_ITERATIONS} iterations")
     return best_warp, rho_prev
 
 
 def ecc_align(
     prev,
     cur,
-    params: EccParams | None = None,
     trace: list | None = None,
     *,
     workspace: EccWorkspace | None = None,
@@ -556,7 +509,7 @@ def ecc_align(
     """Estimate the affine warp taking `prev` coordinates to `cur`.
 
     Maximizes the zero-mean normalized correlation between `prev` and the
-    warped `cur`, coarse to fine. Images wider than params.working_width
+    warped `cur`, coarse to fine. Images wider than ECC_WORKING_WIDTH
     are pre-shrunk (the returned warp is expressed at full resolution).
     When `trace` is a list it receives the per-iteration correlation of
     every accepted step at the finest level. `workspace` holds the
@@ -568,7 +521,6 @@ def ecc_align(
     final warp outside the determinant sanity bounds; callers fall back
     to the identity warp and record the fallback.
     """
-    params = params or EccParams()
     template = _as_float_image(prev)
     image = _as_float_image(cur)
     if template.shape != image.shape:
@@ -577,13 +529,13 @@ def ecc_align(
         raise ValueError(f"images must be at least {MIN_ALIGN_DIM} px on each side")
 
     base_scale = 1
-    while image.shape[1] / base_scale > params.working_width:
+    while image.shape[1] / base_scale > ECC_WORKING_WIDTH:
         base_scale *= 2
         template = _halve(template)
         image = _halve(image)
 
     pyramid = [(template, image)]
-    for _ in range(params.pyramid_levels - 1):
+    for _ in range(ECC_PYRAMID_LEVELS - 1):
         t, i = pyramid[-1]
         if min(t.shape) // 2 < MIN_ALIGN_DIM:
             break
@@ -601,7 +553,6 @@ def ecc_align(
             t,
             i,
             warp,
-            params,
             strict=(level == 0),
             trace=trace if level == 0 else None,
             ws=buffers[level],

@@ -159,11 +159,10 @@ def _time_means(fns, reps: int, warmup: int = 3) -> list[float]:
 def bench_filling(
     n_scenarios: int = 20,
     seed: int = 0,
-    params: MotionParams | None = None,
 ) -> list[FillRow]:
     """Per-frame IoU against hidden ground truth for the gap filler and
     the inertia baseline, over seeded direction-change scenarios."""
-    params = params or MotionParams()
+    params = MotionParams()
     rows: list[FillRow] = []
     for i in range(n_scenarios):
         request, gap_truth = turn_gap_case(seed + i, params)
@@ -202,14 +201,9 @@ def fill_means(rows: list[FillRow]) -> list[tuple[int, float, float]]:
 def run_scenario(
     scenario: SyntheticScenario,
     config: TrackerConfig,
-    motion_params: MotionParams | None = None,
 ) -> list[TrackRecord]:
     """Feed a generated scenario through a fresh tracker and finalize."""
-    tracker = Tracker(
-        config=config,
-        frame_size=scenario.frame_size,
-        motion_params=motion_params,
-    )
+    tracker = Tracker(config=config, frame_size=scenario.frame_size)
     for packet in scenario.packets():
         tracker.step(packet)
     return tracker.finalize()

@@ -46,15 +46,32 @@ class BoundingBox:
         return (0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2))
 
 
+# Largest |coordinate| of a detection box, in pixels. Far larger boxes
+# wedge the tracker, every later step raising: the filter's variances
+# overflow (near 2e153 px tall), or a coasting box shrinks to the 1e-3 px
+# size floor where floats are spaced wider than that and has zero extent.
+# Within this limit positions stay below 1e12 px over coasts of tens of
+# thousands of frames.
+DETECTION_LIMIT = 1e7
+
+
 @dataclass(frozen=True, slots=True)
 class Detection:
-    """A detector output: box, confidence in [0, 1], frame index."""
+    """A detector output: box with coordinates within +-DETECTION_LIMIT,
+    confidence in [0, 1], frame index."""
 
     box: BoundingBox
     confidence: float
     frame: int
 
     def __post_init__(self):
+        # The box's x1 < x2 and y1 < y2, so its corners bound every coordinate.
+        b, limit = self.box, DETECTION_LIMIT
+        if not (-limit <= b.x1 and -limit <= b.y1 and b.x2 <= limit and b.y2 <= limit):
+            raise ValueError(
+                f"box ({b.x1}, {b.y1}, {b.x2}, {b.y2}) reaches beyond "
+                f"+-{DETECTION_LIMIT:g} px"
+            )
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
         if self.frame < 0:

@@ -123,9 +123,9 @@ def km_init(box: BoundingBox, params: MotionParams) -> KalmanState:
 def _warp_boxes(warp: AffineWarp, means: np.ndarray) -> np.ndarray:
     """Re-localize the box part of (T, 8) means through `warp`, in place.
 
-    Like `warp_box`, each box's two diagonal corners are mapped and the
-    axis-aligned box is rebuilt on them. Returns the (T,) mask of rows
-    whose box the warp collapsed to zero extent; those keep their box.
+    Each box's two diagonal corners are mapped and the axis-aligned box
+    is rebuilt on them. Returns the (T,) mask of rows whose box the warp
+    collapsed to zero extent; those keep their box.
     """
     (a, b, tx), (c, d, ty) = warp.matrix.tolist()
     corners = centers_to_corners(means[:, :MEAS_DIM])

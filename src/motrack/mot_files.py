@@ -17,7 +17,6 @@ frame below 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable
@@ -40,23 +39,6 @@ def _check_record(frame: int, x: float, y: float, w: float, h: float) -> None:
         raise ValueError(f"non-positive box size {w}x{h}")
 
 
-@dataclass(frozen=True)
-class MotRecord:
-    frame: int
-    track_id: int
-    x: float
-    y: float
-    w: float
-    h: float
-    confidence: float = 1.0
-    a: float = -1.0
-    b: float = -1.0
-    c: float = -1.0
-
-    def __post_init__(self) -> None:
-        _check_record(self.frame, self.x, self.y, self.w, self.h)
-
-
 def _parse(path: str | Path, add: Callable[..., None]) -> None:
     """Check each non-blank line and call
     `add(frame, track_id, x, y, w, h, conf, extra)` with its values, where
@@ -77,17 +59,6 @@ def _parse(path: str | Path, add: Callable[..., None]) -> None:
             add(frame, track_id, x, y, w, h, conf, extra)
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-
-
-def read_mot(path: str | Path) -> list[MotRecord]:
-    """Parse a MOT text file; malformed lines fail hard with their number."""
-    records: list[MotRecord] = []
-
-    def add(frame, track_id, x, y, w, h, conf, extra):
-        records.append(MotRecord(frame, track_id, x, y, w, h, conf, *extra))
-
-    _parse(path, add)
-    return records
 
 
 def read_detections(path: str | Path) -> list[FramePacket]:

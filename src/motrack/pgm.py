@@ -1,42 +1,14 @@
-"""8-bit grayscale images and binary PGM ("P5") file I/O.
+"""Binary PGM ("P5") file I/O for 8-bit grayscale frames, held as
+(height, width) uint8 arrays.
 
 Color inputs are out of scope; convert upstream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class GrayImage:
-    """Row-major 8-bit grayscale raster."""
-
-    width: int
-    height: int
-    intensities: np.ndarray
-
-    def __post_init__(self) -> None:
-        data = np.asarray(self.intensities, dtype=np.uint8).reshape(-1)
-        if data.size != self.width * self.height:
-            raise ValueError(
-                f"expected {self.width * self.height} samples, got {data.size}"
-            )
-        object.__setattr__(self, "intensities", data)
-
-    @classmethod
-    def from_array(cls, array: np.ndarray) -> "GrayImage":
-        arr = np.asarray(array)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2D array, got shape {arr.shape}")
-        clipped = np.clip(np.rint(arr), 0, 255).astype(np.uint8)
-        return cls(arr.shape[1], arr.shape[0], clipped)
-
-    def to_float(self) -> np.ndarray:
-        return self.intensities.reshape(self.height, self.width).astype(float)
 
 
 def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -58,8 +30,9 @@ def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def read_pgm(path: str | Path) -> GrayImage:
-    """Read a binary (P5) portable graymap with maxval up to 255."""
+def read_pgm(path: str | Path) -> np.ndarray:
+    """Read a binary (P5) portable graymap with maxval up to 255 into a
+    (height, width) uint8 array."""
     data = Path(path).read_bytes()
     magic, pos = _read_header_token(data, 0)
     if magic != b"P5":
@@ -75,12 +48,15 @@ def read_pgm(path: str | Path) -> GrayImage:
     pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
     if pixels.size != width * height:
         raise ValueError("truncated PGM pixel data")
-    return GrayImage(width, height, pixels.copy())
+    return pixels.reshape(height, width).copy()
 
 
-def write_pgm(path: str | Path, image: GrayImage | np.ndarray) -> None:
-    """Write a binary (P5) portable graymap."""
-    if not isinstance(image, GrayImage):
-        image = GrayImage.from_array(np.asarray(image))
-    header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + image.intensities.tobytes())
+def write_pgm(path: str | Path, image: np.ndarray) -> None:
+    """Write a 2-D array as a binary (P5) portable graymap, rounding its
+    values to the nearest integer and clipping them into [0, 255]."""
+    arr = np.asarray(image)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2D array, got shape {arr.shape}")
+    pixels = np.clip(np.rint(arr), 0, 255).astype(np.uint8)
+    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
+    Path(path).write_bytes(header + pixels.tobytes())

@@ -30,11 +30,9 @@ from .alignment import (
     AffineWarp,
     CameraMotionLog,
     EccError,
-    EccParams,
     EccWorkspace,
     camera_intensity,
     ecc_align,
-    image_shape,
 )
 from .config import TrackerConfig
 from .gating import GRID_CELLS, CellGrid, fully_connected_cost, gated_cost
@@ -63,7 +61,8 @@ logger = logging.getLogger(__name__)
 @dataclass
 class FramePacket:
     """Input for one frame: detections, and optionally the grayscale
-    image (for alignment) or a precomputed warp (which wins if set).
+    image as a (height, width) array (for alignment) or a precomputed
+    warp (which wins if set).
 
     A supplied warp must be finite with an invertible linear part: gap
     fills invert it and the reconnection window reads its camera
@@ -74,7 +73,7 @@ class FramePacket:
 
     frame: int
     detections: list[Detection]
-    image: object | None = None
+    image: np.ndarray | None = None
     warp: AffineWarp | None = None
 
     def __post_init__(self) -> None:
@@ -93,7 +92,7 @@ class FramePacket:
             if self.warp.det() == 0.0:
                 raise ValueError(f"frame {self.frame}: supplied warp has a singular linear part")
         if self.image is not None:
-            shape = image_shape(self.image)
+            shape = np.shape(self.image)
             if len(shape) != 2:
                 raise ValueError(f"frame {self.frame}: image must be 2-D, got shape {shape}")
             if min(shape) < MIN_ALIGN_DIM:
@@ -148,12 +147,9 @@ class Tracker:
         self,
         config: TrackerConfig | None = None,
         frame_size: tuple[float, float] = (1920.0, 1080.0),
-        motion_params: MotionParams | None = None,
-        ecc_params: EccParams | None = None,
     ) -> None:
         self.config = config or TrackerConfig()
-        self.motion_params = motion_params or MotionParams()
-        self.ecc_params = ecc_params or EccParams()
+        self.motion_params = MotionParams()
         # Alignment scratch memory, reused frame to frame; one per tracker
         # so trackers on different threads never share it.
         self.ecc_workspace = EccWorkspace()
@@ -180,11 +176,11 @@ class Tracker:
         if packet.image is None or self.prev_image is None:
             self.store.motion_log.record(packet.frame, AffineWarp.identity())
             return AffineWarp.identity()
-        if image_shape(packet.image) != image_shape(self.prev_image):
+        if np.shape(packet.image) != np.shape(self.prev_image):
             return self._alignment_fallback(packet.frame, events, "frame size changed")
         try:
             warp, correlation = ecc_align(
-                self.prev_image, packet.image, self.ecc_params, workspace=self.ecc_workspace
+                self.prev_image, packet.image, workspace=self.ecc_workspace
             )
         except EccError as exc:
             return self._alignment_fallback(packet.frame, events, exc)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from motrack.alignment import AffineWarp, warp_box
+from motrack.alignment import AffineWarp, apply_points
 from motrack.geometry import BoundingBox, from_center_form, to_center_form
 from motrack.kalman import MEAS_DIM, SIZE_FLOOR, DegenerateStateError, MotionParams
 
@@ -35,6 +35,18 @@ def _floor_size(mean: np.ndarray) -> np.ndarray:
     mean[2] = max(mean[2], SIZE_FLOOR)
     mean[3] = max(mean[3], SIZE_FLOOR)
     return mean
+
+
+def warp_box(warp: AffineWarp, box: BoundingBox) -> BoundingBox:
+    """Map the box's two diagonal corners and rebuild the axis-aligned box
+    on the results."""
+    corners = np.array([[box.x1, box.y1], [box.x2, box.y2]])
+    mapped = apply_points(warp, corners)
+    x1, y1 = np.min(mapped, axis=0)
+    x2, y2 = np.max(mapped, axis=0)
+    if x2 <= x1 or y2 <= y1:
+        raise ValueError("warp collapsed the box to zero extent")
+    return BoundingBox(float(x1), float(y1), float(x2), float(y2))
 
 
 def predict(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from motrack.geometry import (
+    DETECTION_LIMIT,
     BoundingBox,
     Detection,
     boxes_to_array,
@@ -61,6 +62,21 @@ def test_detection_carries_confidence():
     d = Detection(BoundingBox(0, 0, 10, 10), confidence=0.7, frame=3)
     assert d.confidence == 0.7
     assert d.frame == 3
+
+
+def test_detection_refuses_a_box_beyond_the_limit():
+    # A track spawned on the 1e160 px tall box used to turn NaN on its
+    # first update, and every later step then raised.
+    limit = DETECTION_LIMIT
+    for box in (
+        BoundingBox(0, 0, 10, 1e160),
+        BoundingBox(-2 * limit, 0, 0, 10),
+        BoundingBox(0, 0, 10, limit + 1),
+    ):
+        with pytest.raises(ValueError, match="reaches beyond"):
+            Detection(box, 0.9, 1)
+    at_limit = BoundingBox(-limit, -limit, limit, limit)
+    assert Detection(at_limit, 0.9, 1).box == at_limit
 
 
 def test_iou_identical_boxes():

@@ -6,12 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import motrack.pipeline
 from motrack.alignment import MIN_ALIGN_DIM, AffineWarp, EccError, ecc_align
 from motrack.config import TrackerConfig
-from motrack.geometry import BoundingBox, Detection
+from motrack.geometry import DETECTION_LIMIT, BoundingBox, Detection
 from motrack.kalman import DegenerateStateError
 from motrack.pipeline import FramePacket, Tracker
 from motrack.synth import generate, random_scenario, render_frames, textured_pair
@@ -25,8 +25,8 @@ def det(frame, cx, cy, w=60.0, h=120.0, conf=0.9):
     return Detection(box=box, confidence=conf, frame=frame)
 
 
-def run(packets, config=None, **kwargs):
-    tracker = Tracker(config=config or TrackerConfig(), frame_size=SIZE, **kwargs)
+def run(packets, config=None):
+    tracker = Tracker(config=config or TrackerConfig(), frame_size=SIZE)
     events = [tracker.step(p) for p in packets]
     return tracker.finalize(), events
 
@@ -316,6 +316,27 @@ def test_track_table_stays_in_step_with_the_tracks(seed):
     tracker.finalize()
     assert_table_and_histories_agree(tracker)
     assert tracker.live == [] and tracker.means.shape == (0, 8)
+
+
+coordinate = st.floats(-DETECTION_LIMIT, DETECTION_LIMIT)
+limited_span = st.tuples(coordinate, coordinate).map(sorted).filter(lambda s: s[0] < s[1])
+limited_boxes = st.builds(
+    lambda xs, ys: BoundingBox(xs[0], ys[0], xs[1], ys[1]), limited_span, limited_span
+)
+
+
+@given(st.lists(st.lists(limited_boxes, max_size=3), min_size=2, max_size=12))
+@settings(max_examples=200, deadline=None)
+@example([[BoundingBox(0.0, 0.0, 10.0, 1e7)], [BoundingBox(0.0, 0.0, 10.0, 5e6)], [], []])
+def test_detections_within_the_limit_keep_the_tracker_stepping(frames):
+    # Empty frames are gaps: the tracks coast through them and grow their
+    # covariance. In the example the track's height shrinks to the size
+    # floor some 2.5e6 px from the origin.
+    tracker = Tracker(frame_size=SIZE)
+    for f, boxes in enumerate(frames, 1):
+        tracker.step(FramePacket(f, [Detection(b, 0.9, f) for b in boxes]))
+        assert np.isfinite(tracker.means).all()
+        assert np.isfinite(tracker.cov_terms).all()
 
 
 def load_tracing(monkeypatch):

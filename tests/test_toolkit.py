@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import motrack
 from motrack.bench import FillRow, GatingRow, bench_filling, fill_means, write_csv
 from motrack.cli import _add_config_flags, _config_from_args, build_parser, main
 from motrack.config import TrackerConfig
@@ -16,9 +17,7 @@ from motrack.evaluation import (
 )
 from motrack.geometry import BoundingBox, Detection
 from motrack.mot_files import (
-    MotRecord,
     read_detections,
-    read_mot,
     read_tracks,
     write_detections,
     write_tracks,
@@ -32,12 +31,21 @@ from motrack.synth import (
     generate,
     occlusion_scenario,
     random_scenario,
+    render_frames,
 )
 from motrack.tracks import TrackRecord
 
 
 def box(x, y, w=50.0, h=100.0):
     return BoundingBox(x, y, x + w, y + h)
+
+
+def test_every_export_resolves_once():
+    # `import motrack` still succeeds with a stale __all__ entry; only a
+    # star import fails on it.
+    exported = motrack.__all__
+    assert len(exported) == len(set(exported))
+    assert [name for name in exported if not hasattr(motrack, name)] == []
 
 
 # ------------------------------------------------------------------ MOT files
@@ -50,42 +58,56 @@ FIXTURE = """1,1,100.00,200.00,50.00,100.00,1.00,-1,-1,-1
 3,1,108.00,200.00,50.00,100.00,-1.00,-1,-1,-1
 """
 
+ALL_READERS = (read_detections, read_tracks)
+
 
 def test_read_mot_fixture(tmp_path):
     path = tmp_path / "gt.txt"
     path.write_text(FIXTURE)
-    records = read_mot(path)
-    assert len(records) == 5
-    assert records[0] == MotRecord(1, 1, 100.0, 200.0, 50.0, 100.0, 1.0)
-    assert records[4].confidence == -1.0
-    assert records[1] == MotRecord(1, 2, 400.0, 180.0, 60.0, 110.0, 0.9)
+    tracks = read_tracks(path)
+    assert {tid: sorted(history) for tid, history in tracks.items()} == {
+        1: [1, 2, 3],
+        2: [1, 2],
+    }
+    assert tracks[1][1] == box(100.0, 200.0, 50.0, 100.0)
+    assert tracks[2][1] == box(400.0, 180.0, 60.0, 110.0)
+    packets = read_detections(path)
+    assert [[d.confidence for d in p.detections] for p in packets] == [
+        [1.0, 0.9],
+        [1.0, 0.9],
+        [0.0],  # the fill marker, conf = -1, clamped into [0, 1]
+    ]
 
 
 def test_read_mot_skips_blank_lines(tmp_path):
     path = tmp_path / "gt.txt"
     path.write_text("1,1,10,10,5,5,1\n\n  \n2,1,11,10,5,5,1\n")
-    assert len(read_mot(path)) == 2
+    assert sorted(read_tracks(path)[1]) == [1, 2]
+    assert [len(p.detections) for p in read_detections(path)] == [1, 1]
 
 
 def test_read_mot_seven_field_minimum(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1,1,10,10,5,5,1\n1,2,3\n")
-    with pytest.raises(ValueError, match="bad.txt:2"):
-        read_mot(path)
+    for reader in ALL_READERS:
+        with pytest.raises(ValueError, match="bad.txt:2"):
+            reader(path)
 
 
 def test_read_mot_non_numeric_field(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1,1,10,10,5,5,1\n2,1,x,10,5,5,1\n")
-    with pytest.raises(ValueError, match=":2:"):
-        read_mot(path)
+    for reader in ALL_READERS:
+        with pytest.raises(ValueError, match=":2:"):
+            reader(path)
 
 
 def test_read_mot_rejects_non_positive_size(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1,1,10,10,0,5,1\n")
-    with pytest.raises(ValueError, match=":1:"):
-        read_mot(path)
+    for reader in ALL_READERS:
+        with pytest.raises(ValueError, match=":1:"):
+            reader(path)
 
 
 def test_read_detections_gap_frames_come_back_empty(tmp_path):
@@ -111,6 +133,13 @@ def test_read_detections_rejects_non_finite_boxes(tmp_path, field):
         read_detections(path)
 
 
+def test_read_detections_refuses_a_box_beyond_the_limit(tmp_path):
+    path = tmp_path / "det.txt"
+    path.write_text("1,-1,10,10,5,5,0.9\n2,-1,0,0,10,1e160,0.9\n")
+    with pytest.raises(ValueError, match=r"det\.txt:2: .*reaches beyond"):
+        read_detections(path)
+
+
 def test_read_detections_empty_file(tmp_path):
     path = tmp_path / "det.txt"
     path.write_text("")
@@ -130,13 +159,10 @@ def test_tracker_output_file_marks_fills(tmp_path):
         tracker.step(p)
     path = tmp_path / "res.txt"
     write_tracks(tracker.finalize(), path)
-    records = read_mot(path)
-    assert len(records) == 20
-    fill_confs = {r.frame: r.confidence for r in records if r.confidence == -1.0}
-    assert set(fill_confs) == {8, 9, 10, 11, 12}
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    assert len(rows) == 20
+    assert {int(row[0]) for row in rows if float(row[6]) == -1.0} == {8, 9, 10, 11, 12}
 
-
-ALL_READERS = (read_mot, read_detections, read_tracks)
 
 # Each bad line follows a good one, "1,1,10,10,5,5,1", so every refusal
 # must name line 2 of its file.
@@ -179,20 +205,6 @@ def test_detection_files_may_repeat_their_id(tmp_path):
     path = tmp_path / "det.txt"
     path.write_text("1,-1,10,10,5,5,0.9\n1,-1,10,10,5,5,0.9\n")
     assert len(read_detections(path)[0].detections) == 2
-
-
-@pytest.mark.parametrize(
-    "fields",
-    [
-        (0, 1, 10.0, 10.0, 5.0, 5.0),
-        (1, 1, float("nan"), 10.0, 5.0, 5.0),
-        (1, 1, 10.0, 10.0, 5.0, 0.0),
-    ],
-    ids=["frame-zero", "x-nan", "height-zero"],
-)
-def test_mot_record_checks_direct_construction(fields):
-    with pytest.raises(ValueError):
-        MotRecord(*fields)
 
 
 mot_boxes = st.builds(
@@ -587,6 +599,33 @@ def test_cli_synth_track_eval_round_trip(tmp_path, capsys):
     assert code == 0
     line = capsys.readouterr().out
     assert "MOTA 1.0000" in line
+
+
+def test_cli_tracks_rendered_frames_as_an_in_process_tracker_does(tmp_path, capsys):
+    seed = 3
+    spec = random_scenario(seed, n_targets=4, frame_count=20, width=320.0, height=240.0)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(spec.to_json())
+    out_dir = tmp_path / "scene"
+    args = ["synth", "--spec", str(spec_path), "--seed", str(seed), "--render"]
+    assert main(args + ["--output-dir", str(out_dir)]) == 0
+    result = tmp_path / "res.txt"
+    args = ["track", "--detections", str(out_dir / "det.txt"), "--output", str(result)]
+    args += ["--images", str(out_dir / "frames")]
+    args += ["--frame-width", str(spec.width), "--frame-height", str(spec.height)]
+    assert main(args) == 0
+
+    frames = render_frames(generate(spec, seed), seed)
+    tracker = Tracker(frame_size=(spec.width, spec.height))
+    for packet in read_detections(out_dir / "det.txt"):
+        packet.image = frames[packet.frame]
+        tracker.step(packet)
+    # The camera moves, so the frames reached the alignment.
+    warps = tracker.store.motion_log.warps.values()
+    assert sum(not warp.is_identity() for warp in warps) > 10
+    expected = tmp_path / "expected.txt"
+    write_tracks(tracker.finalize(), expected)
+    assert result.read_bytes() == expected.read_bytes()
 
 
 def test_cli_eval_result_against_itself(tmp_path, capsys):
